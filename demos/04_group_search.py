@@ -1,14 +1,17 @@
-"""Classify perfect Euclidean codes by searching group homomorphisms.
+"""Classify perfect Euclidean codes by searching tiling kernels.
 
 A lattice tiling of Z^n by B(r) is the same thing as a homomorphism
 Z^n -> G onto an Abelian group of order |B(r)| that is injective on the
-ball.  Sweeping all groups and all generator images at each achievable
-radius token therefore classifies perfect codes outright.
+ball, and its kernel is a lattice of index |B(r)| that meets B - B only
+at 0.  Walking every such lattice in Hermite normal form at each
+achievable radius token therefore classifies perfect codes outright; the
+group and the homomorphism are read off the kernel that is found.
 """
 
 from lpcodes.homsearch import abelian_groups_of_order, classify
 
-print("Abelian groups of order 25:", [g.label() for g in abelian_groups_of_order(25)])
+print("Quotients Z^2 / L for a kernel L of index 25:",
+      [g.label() for g in abelian_groups_of_order(25)])
 print()
 
 for n, p, s_max in ((2, 2, 8), (3, 2, 3)):
@@ -21,8 +24,8 @@ for n, p, s_max in ((2, 2, 8), (3, 2, 3)):
                   f" e_i -> {list(phi.images)}   kernel {list(o.kernel.basis)}")
         elif o.status == "exhausted":
             print(f"  s={o.token.power_value:>2}  exhausted after"
-                  f" {o.candidates_examined} candidates over"
-                  f" {len(o.groups_tried)} group(s)")
+                  f" {o.candidates_examined} Hermite candidates"
+                  f" (diagonals and residues)")
     print()
 
 print("Every found kernel carries a PERFECT certificate:")

@@ -247,12 +247,8 @@ def cubic_polyomino_check(n, r, p):
     r = int(r)
     if p == INF:
         raise ValueError("compare against a finite exponent")
-    if isinstance(p, int):
-        equal = n * r**p < (r + 1) ** p
-        token = geometry.RadiusToken(p, n * r**p)
-    else:
-        equal = n * r**p < (r + 1) ** p
-        token = None
+    equal = n * r**p < (r + 1) ** p
+    token = geometry.RadiusToken(p, n * r**p) if isinstance(p, int) else None
     verified = False
     if token is not None and (2 * r + 3) ** n <= _ENUM_VERIFY_CAP:
         ball = set(geometry.enumerate_ball(n, token).points)

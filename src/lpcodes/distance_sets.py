@@ -136,11 +136,9 @@ def enumerate_achievable(p, n, limit, q=None):
     return AchievabilityTable(p, n, limit, q, vals)
 
 
-# Known exact values of Waring's g.  The 14 entry is suspect: it matches
-# neither the conjecture formula below (which gives 16673) nor the usual
-# tables, where 19 is g(4); it is kept verbatim from the shipped source
-# table and flagged here rather than silently corrected.
-_WARING_KNOWN = {2: 4, 3: 9, 14: 19}
+# Exact values of Waring's g that the table vouches for: g(4) = 19
+# (Balasubramanian, Deshouillers and Dress, 1986) and g(5) = 37 (Chen, 1964).
+_WARING_KNOWN = {2: 4, 3: 9, 4: 19, 5: 37}
 
 
 def waring_g(p):

@@ -269,10 +269,24 @@ def ball_cardinality(n, token):
 
 
 def difference_set(ball):
-    """B - B as an explicit sorted point set."""
-    pts = ball.points
-    diffs = {tuple(a - b for a, b in zip(x, y)) for x in pts for y in pts}
-    return DifferenceSet(ball.dimension, ball.radius, tuple(sorted(diffs)))
+    """B - B as an explicit sorted point set.
+
+    Every last-axis fibre of an l_p ball or a cube is a centred interval
+    [-h_a, h_a] over its prefix a, so B - B holds (u, t) exactly when
+    |t| <= max(h_a + h_b) over prefix pairs with a - b = u.  Only pairs
+    of prefixes are visited, not pairs of points.
+    """
+    heights = {}
+    for *a, t in ball.points:
+        a = tuple(a)
+        heights[a] = max(heights.get(a, t), t)
+    reach = {}
+    for a, ha in heights.items():
+        for b, hb in heights.items():
+            u = tuple(x - y for x, y in zip(a, b))
+            reach[u] = max(reach.get(u, 0), ha + hb)
+    diffs = tuple(u + (t,) for u in sorted(reach) for t in range(-reach[u], reach[u] + 1))
+    return DifferenceSet(ball.dimension, ball.radius, diffs)
 
 
 def balls_overlap(v, n, token):

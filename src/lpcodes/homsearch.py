@@ -1,24 +1,27 @@
-"""Group homomorphism search for lattice tilings by discrete balls.
+"""Kernel-lattice search for lattice tilings by discrete balls.
 
 A ball B tiles Z^n by translates of a lattice iff some Abelian group G
 with |G| = |B| admits a homomorphism phi: Z^n -> G whose restriction to
-B is a bijection; the tiling lattice is ker(phi).  Injectivity on B is
-equivalent to phi(v) != 0 for every nonzero v in B - B, which is what
-the search enforces.
+B is a bijection; the tiling lattice is ker(phi).  Equivalently, some
+lattice of index |B| meets B - B only at 0, and that lattice is the
+kernel.  The search looks for the kernel directly, with no loop over
+groups: each lattice stands for a whole Aut(G)-orbit of homomorphisms.
 
-The search is depth-first over the basis images g_1..g_n.  Before image
-g_j is chosen, every difference vector whose highest nonzero coordinate
-is j contributes a congruence v_j * x = -(v_1 g_1 + ... + v_{j-1}
-g_{j-1}); its solution set is marked forbidden in a dense table, and the
-candidates for g_j are the unmarked elements.  Symmetry reductions (all
-validated against brute force in the test suite):
+Every index-m sublattice of Z^n has exactly one lower-triangular Hermite
+basis, row j = (h_0, ..., h_{j-1}, d_j) with d_0 * ... * d_{n-1} = m and
+0 <= h_i < d_i.  The walk fixes the rows level by level:
 
-* each image is negation-normalized (g and -g are interchangeable via a
-  coordinate sign flip, which preserves the ball);
-* images are taken in sorted encoded order (coordinate permutations
-  preserve the ball), except that for cyclic G the first image is
-  instead fixed to one divisor per automorphism orbit, and only the
-  remaining images are mutually sorted.
+* the diagonal d_j runs over the divisors of the index left, descending
+  (the last level takes whatever remains);
+* the row h runs over Z^j / L_{j-1} as canonical residues, in descending
+  mixed-radix order (h_0 least significant);
+* h is rejected when some v in B - B with top coordinate j has d_j | v_j
+  and (v_j / d_j) h = v[:j] modulo L_{j-1}, for then v lies in the
+  lattice.
+
+The first complete basis is the kernel, and the homomorphism is read off
+it (kernel_homomorphism).  candidates_examined counts the diagonals and
+residues examined, and the budget bounds that count.
 """
 
 import itertools
@@ -29,7 +32,7 @@ from math import gcd, lcm
 
 from . import distance_sets, lattices
 from .geometry import INF, RadiusToken, difference_set, enumerate_ball
-from .intmath import divisors, factorize, xgcd
+from .intmath import divisors, factorize
 from .lattices import IntegerLattice
 
 __all__ = [
@@ -40,6 +43,7 @@ __all__ = [
     "abelian_groups_of_order",
     "is_bijective_on",
     "kernel_lattice",
+    "kernel_homomorphism",
     "search_homomorphisms",
     "classify",
     "brute_force_search",
@@ -226,99 +230,94 @@ def kernel_lattice(phi):
 
 
 def _slices(diffs, n):
-    """Difference vectors keyed by highest nonzero coordinate, upper half.
+    """Difference vectors keyed by highest nonzero coordinate j, upper half.
 
-    Only v with v_j > 0 are kept (phi(-v) = -phi(v)); each is trimmed to
-    its first j+1 coordinates.
+    Level j maps each prefix u = v[:j] to the largest v_j > 0 over
+    v = (u, v_j, 0, ..., 0) in B - B; the negated vectors add nothing
+    (the lattice is symmetric), and B - B is an interval along every
+    axis, so v_j runs over 1..top.
     """
-    out = [[] for _ in range(n)]
+    out = [{} for _ in range(n)]
     for v in diffs:
         j = n - 1
         while j >= 0 and v[j] == 0:
             j -= 1
-        if j < 0 or v[j] < 0:
-            continue
-        out[j].append(v[: j + 1])
-    return [tuple(sorted(level)) for level in out]
+        if j >= 0 and v[j] > 0:
+            out[j][v[:j]] = max(out[j].get(v[:j], 0), v[j])
+    return [sorted(level.items()) for level in out]
 
 
-def _mark_forbidden(group, level_slice, prefix):
-    """Dense 0/1 table over G of images g_j violating some difference.
+def _reduce(w, rows):
+    """Canonical residue of w in Z^j modulo the lower-triangular rows (0 <= w_i < d_i)."""
+    w = list(w)
+    for i in range(len(rows) - 1, -1, -1):
+        c = w[i] // rows[i][i]
+        if c:
+            for k in range(i + 1):
+                w[k] -= c * rows[i][k]
+    return tuple(w)
 
-    For each slice vector v the constraint phi(v) != 0 forbids the
-    solutions x of v_j * x = -(sum over the prefix); solving is
-    componentwise CRT on the invariant factors.  No-solution congruences
-    forbid nothing.
+
+def _residues(rows):
+    """Canonical residues of Z^j / L, descending mixed radix (h_0 least significant)."""
+    ranges = [range(row[-1] - 1, -1, -1) for row in reversed(rows)]
+    return (h[::-1] for h in itertools.product(*ranges))
+
+
+def _find_kernel(n, m, slices, budget, counter):
+    """The first index-m lattice in walk order meeting B - B only at 0, or None.
+
+    counter[0] counts the diagonals and residues examined.
     """
-    factors = group.factors
-    marked = bytearray(group.order)
-    for v in level_slice:
-        rhs = group.identity
-        for vi, g in zip(v, prefix):
-            rhs = group.add(rhs, group.scale(-vi, g))
-        a = v[-1]
-        per_component = []
-        for t, d in zip(rhs, factors):
-            g0, inv, _ = xgcd(a % d, d)
-            if t % g0:
-                per_component = None
-                break
-            step = d // g0
-            x0 = (inv * (t // g0)) % step
-            per_component.append((x0, step, g0))
-        if per_component is None:
-            continue
-        if len(factors) == 1:
-            x0, step, cnt = per_component[0]
-            marked[x0::step] = b"\x01" * cnt
-        else:
-            sols = [[x0 + k * step for k in range(cnt)] for x0, step, cnt in per_component]
-            for combo in itertools.product(*sols):
-                marked[group.encode(combo)] = 1
-    return marked
+    rows = []
 
+    def tick():
+        counter[0] += 1
+        if counter[0] > budget:
+            raise _BudgetExceeded
 
-def _search_group(group, n, slices, budget, counter):
-    """DFS for one group; returns images or None.  counter[0] = examined."""
-    m = group.order
-    # negation-normalized representatives, in encode order
-    normalized = []
-    for i in range(m):
-        g = group.decode(i)
-        if i <= group.encode(group.neg(g)):
-            normalized.append(g)
-    if group.is_cyclic and m > 1:
-        first_candidates = [((d % m),) for d in divisors(m)]
-    else:
-        first_candidates = normalized
+    def descend(j, rest):
+        diagonals = [rest] if j == n - 1 else divisors(rest)[::-1]
+        for d in diagonals:
+            tick()
+            # v lies in the lattice iff d | v_j and (v_j / d) h = v[:j] mod rows
+            targets = {}
+            for u, top in slices[j]:
+                if top >= d:
+                    r = _reduce(u, rows)
+                    for y in range(1, top // d + 1):
+                        targets.setdefault(y, set()).add(r)
+            direct = targets.pop(1, ())  # y = 1: h is already canonical
+            for h in _residues(rows):
+                tick()
+                if h in direct or any(
+                    _reduce([y * c for c in h], rows) in hit for y, hit in targets.items()
+                ):
+                    continue
+                rows.append(h + (d,))
+                if j == n - 1 or descend(j + 1, rest // d):
+                    return True
+                rows.pop()
+        return False
 
-    prefix = []
-
-    def descend(j):
-        marked = _mark_forbidden(group, slices[j], prefix)
-        if j == 0:
-            candidates = first_candidates
-        elif group.is_cyclic and j == 1:
-            candidates = normalized
-        else:
-            floor = group.encode(prefix[-1])
-            candidates = [g for g in normalized if group.encode(g) >= floor]
-        for g in candidates:
-            counter[0] += 1
-            if counter[0] > budget:
-                raise _BudgetExceeded
-            if marked[group.encode(g)]:
-                continue
-            if j == n - 1:
-                return tuple(prefix) + (g,)
-            prefix.append(g)
-            found = descend(j + 1)
-            prefix.pop()
-            if found:
-                return found
+    if not descend(0, m):
         return None
+    return IntegerLattice.from_rows([row + (0,) * (n - len(row)) for row in rows], n)
 
-    return descend(0)
+
+def kernel_homomorphism(kernel):
+    """A homomorphism phi: Z^n -> Z^n / kernel with ker(phi) = kernel.
+
+    For a Hermite diagonal (m, 1, ..., 1) the quotient is Z_m with
+    e_0 -> 1 and e_j -> -h_j0; otherwise the group and images come from
+    the Smith form (lattices.quotient_map).
+    """
+    m = kernel.determinant
+    if m > 1 and kernel.basis[0][0] == m:
+        images = ((1,),) + tuple(((-row[0]) % m,) for row in kernel.basis[1:])
+        return GroupHomomorphism(AbelianGroupSpec(m, (m,)), images)
+    factors, images = lattices.quotient_map(kernel)
+    return GroupHomomorphism(AbelianGroupSpec(m, factors), images)
 
 
 class _BudgetExceeded(Exception):
@@ -355,12 +354,13 @@ class TokenOutcome:
 
 
 def search_homomorphisms(n, token, budget=DEFAULT_BUDGET):
-    """Search all Abelian groups of order mu_p(n, r) at one token.
+    """Search the index-mu_p(n, r) sublattices of Z^n for a tiling kernel.
 
     Unachievable tokens are skipped outright: the packing radius of any
     code lies in the distance set, so nothing can be r-perfect there.
-    Groups are tried cyclic-first; within a group the traversal is
-    deterministic, so exhausted counts are reproducible.
+    The Hermite walk is deterministic, so exhausted counts are
+    reproducible.  groups_tried holds the found quotient's invariant
+    factors, and is empty otherwise.
     """
     p = token.p
     s = token.power_value
@@ -370,21 +370,14 @@ def search_homomorphisms(n, token, budget=DEFAULT_BUDGET):
     m = ball.cardinality
     slices = _slices(difference_set(ball).points, n)
     counter = [0]
-    tried = []
-    for group in abelian_groups_of_order(m):
-        tried.append(group.factors)
-        try:
-            images = _search_group(group, n, slices, budget, counter)
-        except _BudgetExceeded:
-            return TokenOutcome(
-                n, token, "inconclusive", m, tuple(tried), None, None, counter[0]
-            )
-        if images is not None:
-            phi = GroupHomomorphism(group, images)
-            return TokenOutcome(
-                n, token, "found", m, tuple(tried), phi, kernel_lattice(phi), counter[0]
-            )
-    return TokenOutcome(n, token, "exhausted", m, tuple(tried), None, None, counter[0])
+    try:
+        kernel = _find_kernel(n, m, slices, budget, counter)
+    except _BudgetExceeded:
+        return TokenOutcome(n, token, "inconclusive", m, (), None, None, counter[0])
+    if kernel is None:
+        return TokenOutcome(n, token, "exhausted", m, (), None, None, counter[0])
+    phi = kernel_homomorphism(kernel)
+    return TokenOutcome(n, token, "found", m, (phi.group.factors,), phi, kernel, counter[0])
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ __all__ = [
     "smith_normal_form",
     "integer_row_echelon",
     "quotient_structure",
+    "quotient_map",
     "minimum_distance",
     "packing_radius",
     "radius_bracket",
@@ -150,9 +151,20 @@ def canonicalize(rows, n=None):
 
 def smith_normal_form(rows):
     """Invariant factors d_1 | d_2 | ... of an integer matrix (Smith form)."""
+    return _smith(rows)[0]
+
+
+def _smith(rows):
+    """(factors, V): Smith invariant factors and a unimodular column transform.
+
+    U @ rows @ V = diag(factors) for some unimodular U; V is tracked by
+    applying every column operation to the identity as well.
+    """
     A = [list(map(int, r)) for r in rows]
     m = len(A)
     ncols = len(A[0]) if m else 0
+    V = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    everyrow = A + V  # column operations act on both
     t = 0
     factors = []
     while t < min(m, ncols):
@@ -164,7 +176,7 @@ def smith_normal_form(rows):
         if piv is None:
             break
         A[t], A[piv[0]] = A[piv[0]], A[t]
-        for row in A:
+        for row in everyrow:
             row[t], row[piv[1]] = row[piv[1]], row[t]
         while True:
             clean = True
@@ -179,11 +191,11 @@ def smith_normal_form(rows):
             for j in range(t + 1, ncols):
                 if A[t][j]:
                     q = A[t][j] // A[t][t]
-                    for i in range(m):
-                        A[i][j] -= q * A[i][t]
+                    for row in everyrow:
+                        row[j] -= q * row[t]
                     if A[t][j]:
-                        for i in range(m):
-                            A[i][t], A[i][j] = A[i][j], A[i][t]
+                        for row in everyrow:
+                            row[t], row[j] = row[j], row[t]
                         clean = False
             if not clean:
                 continue
@@ -203,7 +215,7 @@ def smith_normal_form(rows):
                 A[t][j] += A[offender][j]
         factors.append(abs(A[t][t]))
         t += 1
-    return tuple(factors)
+    return tuple(factors), V
 
 
 def integer_row_echelon(rows):
@@ -261,6 +273,19 @@ def quotient_structure(lat):
     qs = QuotientStructure(factors)
     assert qs.order == lat.determinant
     return qs
+
+
+def quotient_map(lat):
+    """Isomorphism Z^n / lat -> Z_{d_1} x ... x Z_{d_k} as (factors, images).
+
+    factors are the invariant factors above 1 (d_1 | d_2 | ...), and
+    images[i] is the image of e_i.  From the Smith form U B V = D of the
+    basis B: x -> x V mod D sends lat = Z^n B onto Z^n D, i.e. to 0.
+    """
+    factors, V = _smith(lat.basis)
+    keep = [c for c, d in enumerate(factors) if d > 1]
+    images = tuple(tuple(row[c] % factors[c] for c in keep) for row in V)
+    return tuple(factors[c] for c in keep), images
 
 
 def _row_power(row, p):

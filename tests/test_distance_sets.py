@@ -128,16 +128,16 @@ def test_modulus_route_matches_capped_brute_force(p, n, q, s):
 # ---------------------------------------------------------------- waring
 
 def test_waring_table_entries():
+    # g(2), g(3), g(4) = 19 (Balasubramanian-Deshouillers-Dress) and
+    # g(5) = 37 (Chen) are theorems
     assert waring_g(2) == (4, False)
     assert waring_g(3) == (9, False)
-    # the table stores 19 at p = 14 (as printed in the source material;
-    # the classical value g(4) = 19 suggests a typo there -- kept verbatim)
-    assert waring_g(14) == (19, False)
+    assert waring_g(4) == (19, False)
+    assert waring_g(5) == (37, False)
 
 
 def test_waring_conjectured_formula():
-    assert waring_g(5) == (37, True)
-    assert waring_g(4) == (2**4 + (3**4) // (2**4) - 2, True)  # 19, via formula
+    assert waring_g(14) == (2**14 + (3**14) // (2**14) - 2, True)
 
 
 def test_waring_rejects_small_exponent():

@@ -224,6 +224,19 @@ def test_difference_set_contains_ball_and_is_symmetric():
         assert {tuple(-c for c in v) for v in dset} == dset
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, INF])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_difference_set_matches_pairwise_definition(p, n):
+    # reference: every difference of two ball points, in sorted order
+    for s in (0, 1, 2, 3, 5, 9, 16):
+        if ball_cardinality(n, RadiusToken(p, s)) > 400:
+            break
+        ball = enumerate_ball(n, RadiusToken(p, s))
+        pts = ball.points
+        pairwise = sorted({tuple(a - b for a, b in zip(x, y)) for x in pts for y in pts})
+        assert list(difference_set(ball).points) == pairwise, s
+
+
 def test_difference_set_is_overlap_set():
     # v lies in B - B exactly when B(0) and B(v) share a point
     for n, token in ((2, RadiusToken(2, 2)), (2, RadiusToken(1, 2)), (3, RadiusToken(2, 1))):

@@ -7,6 +7,7 @@ outcomes for every radius the dimension-2 and dimension-3
 classifications touch.
 """
 
+import itertools
 import json
 
 import pytest
@@ -20,10 +21,11 @@ from lpcodes.homsearch import (
     brute_force_search,
     classify,
     is_bijective_on,
+    kernel_homomorphism,
     kernel_lattice,
     search_homomorphisms,
 )
-from lpcodes.lattices import canonicalize
+from lpcodes.lattices import canonicalize, verify_perfect
 
 
 # ---------------------------------------------------------------- groups
@@ -81,12 +83,12 @@ def test_group_labels():
 
 # (n, p, s) -> (status, ball, candidates, group, images, kernel rows)
 EXPECTED = {
-    (2, 2, 1): ("found", 5, 4, (5,), ((1,), (2,)), ((5, 0), (3, 1))),
-    (2, 2, 2): ("found", 9, 5, (9,), ((1,), (3,)), ((9, 0), (6, 1))),
-    (2, 2, 4): ("found", 13, 7, (13,), ((1,), (5,)), ((13, 0), (8, 1))),
-    (2, 2, 8): ("found", 25, 7, (25,), ((1,), (5,)), ((25, 0), (20, 1))),
-    (3, 2, 1): ("found", 7, 6, (7,), ((1,), (2,), (3,)), ((7, 0, 0), (5, 1, 0), (4, 0, 1))),
-    (3, 2, 3): ("found", 27, 12, (27,), ((1,), (3,), (9,)), ((27, 0, 0), (24, 1, 0), (18, 0, 1))),
+    (2, 2, 1): ("found", 5, 5, (5,), ((1,), (2,)), ((5, 0), (3, 1))),
+    (2, 2, 2): ("found", 9, 6, (9,), ((1,), (3,)), ((9, 0), (6, 1))),
+    (2, 2, 4): ("found", 13, 8, (13,), ((1,), (5,)), ((13, 0), (8, 1))),
+    (2, 2, 8): ("found", 25, 8, (25,), ((1,), (5,)), ((25, 0), (20, 1))),
+    (3, 2, 1): ("found", 7, 9, (7,), ((1,), (2,), (3,)), ((7, 0, 0), (5, 1, 0), (4, 0, 1))),
+    (3, 2, 3): ("found", 27, 16, (27,), ((1,), (3,), (9,)), ((27, 0, 0), (24, 1, 0), (18, 0, 1))),
 }
 
 
@@ -118,12 +120,73 @@ def test_kernels_match_published_bases():
 
 
 def test_search_exhausts_off_classification():
-    for s, ball, cand in ((5, 21, 26), (9, 29, 17), (10, 37, 21)):
+    for s, ball, cand in ((5, 21, 38), (9, 29, 34), (10, 37, 42)):
         out = search_homomorphisms(2, RadiusToken(2, s))
         assert out.status == "exhausted"
         assert out.ball_size == ball
         assert out.candidates_examined == cand
         assert out.homomorphism is None and out.kernel is None
+
+
+# ------------------------------------------- every index-m lattice, directly
+
+def hermite_bases(n, m):
+    """Every lower-triangular Hermite basis of index m in Z^n, built here
+    independently of the search: diagonal d_j, entries 0 <= h_i < d_i."""
+    out = []
+
+    def extend(rows, rest):
+        j = len(rows)
+        if j == n:
+            if rest == 1:
+                out.append(rows)
+            return
+        for d in (d for d in range(1, rest + 1) if rest % d == 0):
+            for h in itertools.product(*(range(row[i]) for i, row in enumerate(rows))):
+                extend(rows + [h + (d,) + (0,) * (n - j - 1)], rest // d)
+
+    extend([], m)
+    return out
+
+
+def test_hermite_bases_count_the_index_m_sublattices():
+    def divs(m):
+        return [d for d in range(1, m + 1) if m % d == 0]
+
+    for m in range(1, 40):
+        assert len(hermite_bases(2, m)) == sum(divs(m))  # sigma(m)
+        expected = sum(d1 * d1 * d2 for d1 in divs(m) for d2 in divs(m // d1))
+        assert len(hermite_bases(3, m)) == expected
+    assert len(hermite_bases(3, 19)) == 381
+    assert len({canonicalize(rows) for rows in hermite_bases(3, 12)}) == len(hermite_bases(3, 12))
+
+
+@pytest.mark.parametrize("n, s_max", [(2, 20), (3, 2)])
+def test_exhausted_tokens_have_no_perfect_lattice(n, s_max):
+    # the certifier, not the walk, rejects every lattice of the right index
+    exhausted = [o for o in classify(n, 2, s_max).outcomes if o.status == "exhausted"]
+    assert exhausted
+    for out in exhausted:
+        for rows in hermite_bases(n, out.ball_size):
+            cert = verify_perfect(canonicalize(rows), 2, out.token)
+            assert not cert.is_perfect, (out.token, rows)
+
+
+def test_kernel_homomorphism_of_a_non_cyclic_quotient():
+    kernel = canonicalize([(3, 0), (0, 3)])
+    phi = kernel_homomorphism(kernel)
+    assert phi.group.factors == (3, 3)
+    assert kernel_lattice(phi) == kernel
+    assert is_bijective_on(phi, enumerate_ball(2, RadiusToken(INF, 1)))
+
+
+def test_kernel_homomorphism_inverts_kernel_lattice():
+    for n, m in ((2, 1), (2, 12), (3, 8), (3, 9)):
+        for rows in hermite_bases(n, m):
+            kernel = canonicalize(rows)
+            phi = kernel_homomorphism(kernel)
+            assert phi.group.order == m
+            assert kernel_lattice(phi) == kernel, rows
 
 
 def test_search_skips_unachievable_radii():
