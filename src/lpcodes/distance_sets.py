@@ -28,12 +28,18 @@ __all__ = [
 ]
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # binary digits -> table bytes
+
+
 @lru_cache(maxsize=None)
 def sums_of_powers_reachable(p, n, limit, cap=None):
     """bytes table t with t[s] = 1 iff s <= limit is a sum of n p-th powers.
 
     Coordinates run over 0, 1, ..., with an optional per-coordinate cap.
-    This is the DP oracle; it never consults the closed-form routes.
+    This is the DP oracle; it never consults the closed-form routes.  The
+    reachable sums are the set bits of one Python integer, and adding a
+    coordinate ORs in that integer shifted by each p-th power, so each
+    step is a bitset operation rather than a loop over sums.
     """
     if p < 1 or n < 1 or limit < 0:
         raise ValueError("need p >= 1, n >= 1, limit >= 0")
@@ -41,16 +47,15 @@ def sums_of_powers_reachable(p, n, limit, cap=None):
     if cap is not None:
         top = min(top, cap)
     powers = [a**p for a in range(1, top + 1)]
-    reach = bytearray(limit + 1)
-    reach[0] = 1
+    full = (1 << (limit + 1)) - 1
+    reach = 1
     for _ in range(n):
-        nxt = bytearray(reach)  # a coordinate may be zero
+        nxt = reach  # a coordinate may be zero
         for pw in powers:
-            for s in range(pw, limit + 1):
-                if reach[s - pw]:
-                    nxt[s] = 1
-        reach = nxt
-    return bytes(reach)
+            nxt |= reach << pw
+        reach = nxt & full
+    bits = format(reach, "b")[::-1].ljust(limit + 1, "0")
+    return bits.encode("ascii").translate(_BIT_BYTES)
 
 
 def is_sum_of_two_squares(s):

@@ -11,6 +11,12 @@ The closed-form criteria cover the asymptotic regime: once the ball is
 pointed enough that (r-1)^p + 2^p <= r^p (plane) or the n-dimensional
 analogue holds, the neighborhood that must surround an endpoint cannot
 be completed, independently of any search window.
+
+The window search is a deterministic backtracker over bitmasks: cells
+are bits in lexicographic order, every tile is one shape shifted, and
+each uncovered cell keeps only the candidate tiles that leave every
+region cell below it free, which away from the region's lower faces
+is a single tile.
 """
 
 from dataclasses import dataclass
@@ -129,8 +135,15 @@ def tile_region(footprint, extent, budget=10**7):
     [-extent-r, extent+r]^n so no boundary-crossing tile is missed, and
     tiles must be disjoint everywhere (not only inside the region), as
     the restriction of any genuine tiling would be.  Backtracking always
-    branches on the lexicographically least uncovered region cell, so
-    node counts are reproducible.
+    branches on the lexicographically least uncovered region cell (the
+    lowest set bit of the free region mask), trying the centers whose
+    tile covers it in lexicographic order and counting one node per
+    disjoint tile placed, so node counts are reproducible.  Every region
+    cell below the branching cell is already covered, so a tile reaching
+    one of them must collide: such candidates are pruned once, before
+    the search, which leaves the traversal and the node count as they
+    would be without pruning.  The search keeps an explicit stack, so
+    its depth is not bounded by Python's recursion limit.
     """
     n = footprint.dimension
     r = _integer_radius_of(footprint)
@@ -140,71 +153,71 @@ def tile_region(footprint, extent, budget=10**7):
     span = extent + 2 * r  # cells any candidate tile can touch
     width = 2 * span + 1
 
-    def cell_bit(pt):
+    def bit_index(pt):
+        # first coordinate in the highest digit: lexicographic = bit order
         idx = 0
         for c in pt:
             idx = idx * width + (c + span)
-        return 1 << idx
+        return idx
 
-    region_cells = enumerate_ball(n, _sup_token(extent)).points
-    region_bits = [(pt, cell_bit(pt)) for pt in region_cells]  # lex order
+    # Indices are linear in the point, so every tile is one shape shifted
+    # by the index of its lowest cell.  The tile at t - v covers t with
+    # its point v, which sits rise(v) bits above the tile's lowest cell.
+    offsets = {v: bit_index(v) for v in footprint.points}
+    low = min(offsets.values())
+    shape = 0
+    for off in offsets.values():
+        shape |= 1 << (off - low)
+    # descending v gives the centers t - v in lexicographic order
+    rises = sorted(((off - low, v) for v, off in offsets.items()), reverse=True)
+
+    region_cells = enumerate_ball(n, _sup_token(extent)).points  # lex order
     region_mask = 0
-    for _, bit in region_bits:
-        region_mask |= bit
+    for pt in region_cells:
+        region_mask |= 1 << bit_index(pt)
 
-    centers = enumerate_ball(n, _sup_token(extent + r)).points
-    masks = {}
-    by_cell = {}  # region cell -> centers whose tile covers it
-    for c in centers:
-        mask = 0
-        for v in footprint.points:
-            mask |= cell_bit(tuple(a + b for a, b in zip(c, v)))
-        if mask & region_mask == 0:
-            continue
-        masks[c] = mask
-        for v in footprint.points:
-            pt = tuple(a + b for a, b in zip(c, v))
-            if all(abs(a) <= extent for a in pt):
-                by_cell.setdefault(pt, []).append(c)
+    # region cell index -> (center, shift) of the tiles that cover the
+    # cell and leave every region cell below it free
+    candidates = {}
+    for t in region_cells:
+        k = bit_index(t)
+        below = region_mask & ((1 << k) - 1)
+        candidates[k] = [
+            (tuple(a - b for a, b in zip(t, v)), k - rise)
+            for rise, v in rises
+            if not (below >> (k - rise)) & shape
+        ]
 
-    origin = (0,) * n
     nodes = 0
-    chosen = [origin]
-    status = None
-
-    def least_uncovered(occupied):
-        for pt, bit in region_bits:
-            if not occupied & bit:
-                return pt
-        return None
-
-    def dfs(occupied):
-        nonlocal nodes, status
-        target = least_uncovered(occupied)
-        if target is None:
-            return True
-        for c in by_cell.get(target, ()):
-            mask = masks[c]
-            if mask & occupied:
-                continue
-            nodes += 1
-            if nodes > budget:
-                status = "inconclusive"
-                return False
-            chosen.append(c)
-            if dfs(occupied | mask):
-                return True
-            if status == "inconclusive":
-                return False
-            chosen.pop()
-        return False
-
-    if dfs(masks[origin]):
-        placements = tuple(PolyominoPlacement(c, footprint) for c in chosen)
-        return TileResult("completed", extent, footprint, placements, nodes)
-    if status == "inconclusive":
-        return TileResult("inconclusive", extent, footprint, (), nodes)
-    return TileResult("impossible", extent, footprint, (), nodes)
+    chosen = [(0,) * n]
+    occupied = shape << low  # the pre-placed origin tile
+    free = region_mask & ~occupied
+    # branch points with candidates left:
+    # (occupied, candidates, next position, len(chosen))
+    stack = []
+    while free:
+        fits = candidates[(free & -free).bit_length() - 1]
+        i = 0
+        while True:  # the next disjoint candidate, backtracking as needed
+            while i < len(fits) and (occupied >> fits[i][1]) & shape:
+                i += 1
+            if i < len(fits):
+                break
+            if not stack:
+                return TileResult("impossible", extent, footprint, (), nodes)
+            occupied, fits, i, placed = stack.pop()
+            del chosen[placed:]
+        nodes += 1
+        if nodes > budget:
+            return TileResult("inconclusive", extent, footprint, (), nodes)
+        c, shift = fits[i]
+        if i + 1 < len(fits):
+            stack.append((occupied, fits, i + 1, len(chosen)))
+        chosen.append(c)
+        occupied |= shape << shift
+        free = region_mask & ~occupied
+    placements = tuple(PolyominoPlacement(c, footprint) for c in chosen)
+    return TileResult("completed", extent, footprint, placements, nodes)
 
 
 def _sup_token(r):

@@ -8,6 +8,7 @@ from lpcodes.distance_sets import (
     is_achievable,
     is_sum_of_three_squares,
     is_sum_of_two_squares,
+    sums_of_powers_reachable,
     waring_g,
 )
 
@@ -91,6 +92,49 @@ def test_zero_and_one_always_achievable():
         for n in (1, 2, 4):
             assert is_achievable(p, n, 0)
             assert is_achievable(p, n, 1)
+
+
+# ------------------------------------------------------------ DP table
+
+def brute_sums(p, n, limit, cap=None):
+    """Every sum <= limit of n p-th powers, built coordinate by coordinate."""
+    terms = [a**p for a in range(limit + 1) if a**p <= limit and (cap is None or a <= cap)]
+    sums = {0}
+    for _ in range(n):
+        sums = {s + t for s in sums for t in terms if s + t <= limit}
+    return sums
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("cap", [None, 0, 1, 2, 5])
+def test_reachable_table_matches_brute_force_sums(p, n, cap):
+    limit = 150
+    table = sums_of_powers_reachable(p, n, limit, cap)
+    assert isinstance(table, bytes) and len(table) == limit + 1
+    assert set(table) <= {0, 1}
+    assert {s for s in range(limit + 1) if table[s]} == brute_sums(p, n, limit, cap)
+
+
+def test_reachable_table_edge_limits():
+    assert sums_of_powers_reachable(2, 3, 0) == b"\x01"
+    assert sums_of_powers_reachable(3, 1, 9) == bytes([1, 1, 0, 0, 0, 0, 0, 0, 1, 0])
+    with pytest.raises(ValueError):
+        sums_of_powers_reachable(2, 2, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lee_distances_all_achievable(n):
+    # p = 1: s itself is one coordinate, past every table size the DP rounds to
+    assert all(is_achievable(1, n, s) for s in range(2100))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", range(2, 13))
+def test_lee_distances_mod_q_up_to_diameter(n, q):
+    # with modulus q exactly the sums up to n * floor(q/2) remain
+    top = n * (q // 2)
+    assert [s for s in range(top + 20) if is_achievable(1, n, s, q=q)] == list(range(top + 1))
 
 
 # ------------------------------------------------------------- modulus q

@@ -145,6 +145,98 @@ def test_result_json_shape():
     assert failed["nodes"] == 8043
 
 
+def test_deep_line_search_is_not_recursion_bound():
+    # one placed tile per level: about 1000 levels, past Python's
+    # default recursion limit
+    result = tile_region(enumerate_ball(1, RadiusToken(2, 1)), 1500)
+    assert result.status == "completed"
+    centers = sorted(p.center[0] for p in result.placements)
+    assert centers == list(range(-1500, 1501, 3))
+
+
+# --------------------------------------- equivalence with the plain scan
+
+def reference_tile_region(footprint, extent, budget):
+    """Reference tiler without candidate pruning: a recursive backtracker
+    that scans the region for its least uncovered cell and skips
+    colliding tiles one by one.  Returns (status, nodes, centers)."""
+    n = footprint.dimension
+    r = footprint.radius.integer_radius()
+    span = extent + 2 * r
+    width = 2 * span + 1
+
+    def cell_bit(pt):
+        idx = 0
+        for c in pt:
+            idx = idx * width + (c + span)
+        return 1 << idx
+
+    region_bits = [
+        (pt, cell_bit(pt)) for pt in itertools.product(range(-extent, extent + 1), repeat=n)
+    ]
+    masks, by_cell = {}, {}
+    for c in itertools.product(range(-extent - r, extent + r + 1), repeat=n):
+        cells = [tuple(a + b for a, b in zip(c, v)) for v in footprint.points]
+        if not any(all(abs(a) <= extent for a in pt) for pt in cells):
+            continue
+        masks[c] = sum(cell_bit(pt) for pt in cells)
+        for pt in cells:
+            if all(abs(a) <= extent for a in pt):
+                by_cell.setdefault(pt, []).append(c)
+
+    nodes = 0
+    chosen = [(0,) * n]
+
+    def dfs(occupied):
+        nonlocal nodes
+        target = next((pt for pt, bit in region_bits if not occupied & bit), None)
+        if target is None:
+            return "completed"
+        for c in by_cell[target]:
+            if masks[c] & occupied:
+                continue
+            nodes += 1
+            if nodes > budget:
+                return "inconclusive"
+            chosen.append(c)
+            outcome = dfs(occupied | masks[c])
+            if outcome != "impossible":
+                return outcome
+            chosen.pop()
+        return "impossible"
+
+    status = dfs(masks[(0,) * n])
+    return status, nodes, chosen if status == "completed" else []
+
+
+EQUIVALENCE_GRID = [
+    (n, p, r, extent)
+    for n, extents in ((1, (1, 2, 5, 8)), (2, (1, 2, 3, 4)), (3, (1, 2)))
+    for p in (1, 2, 3, INF)
+    for r in (1, 2, 3)
+    for extent in extents
+    if n * r <= 6  # keeps the slow reference within a few seconds
+]
+EQUIVALENCE_BUDGET = 300  # small enough that some grid cases run out
+
+
+@pytest.mark.parametrize("n,p,r,extent", EQUIVALENCE_GRID)
+def test_tiler_matches_reference_scan(n, p, r, extent):
+    ball = enumerate_ball(n, RadiusToken(p, r if p == INF else r**p))
+    result = tile_region(ball, extent, budget=EQUIVALENCE_BUDGET)
+    status, nodes, centers = reference_tile_region(ball, extent, EQUIVALENCE_BUDGET)
+    assert (result.status, result.nodes) == (status, nodes)
+    assert [tile.center for tile in result.placements] == centers
+
+
+def test_equivalence_grid_covers_every_outcome():
+    statuses = set()
+    for n, p, r, extent in EQUIVALENCE_GRID:
+        ball = enumerate_ball(n, RadiusToken(p, r if p == INF else r**p))
+        statuses.add(tile_region(ball, extent, budget=EQUIVALENCE_BUDGET).status)
+    assert statuses == {"completed", "impossible", "inconclusive"}
+
+
 # ------------------------------------------------- opposite endpoints
 
 @pytest.mark.parametrize("r", [3, 4, 5])
