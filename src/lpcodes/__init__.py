@@ -2,83 +2,9 @@
 l_p and p-Lee metrics: ball enumeration, achievable-distance sets,
 lattice certificates, linear codes over Z_q, group homomorphism search,
 density thresholds, and bounded-region tiling evidence.
+
+Import the library from its submodules (lpcodes.geometry,
+lpcodes.homsearch, ...); importing the package itself loads none of them.
 """
 
 __version__ = "0.1.0"
-
-from .geometry import (
-    INF,
-    DiscreteBall,
-    DifferenceSet,
-    RadiusToken,
-    ball_cardinality,
-    balls_overlap,
-    compare_root_sums,
-    difference_set,
-    enumerate_ball,
-    induced_distance_oracle,
-    lee_distance,
-    linf_distance,
-    lp_distance,
-    plee_distance,
-    superball_volume,
-)
-from .distance_sets import (
-    AchievabilityTable,
-    enumerate_achievable,
-    is_achievable,
-    is_sum_of_three_squares,
-    is_sum_of_two_squares,
-    waring_g,
-)
-from .lattices import (
-    IntegerLattice,
-    PerfectCertificate,
-    QuotientStructure,
-    canonicalize,
-    hermite_normal_form,
-    minimum_distance,
-    packing_radius,
-    quotient_structure,
-    radius_bracket,
-    smith_normal_form,
-    verify_perfect,
-)
-from .zqcodes import (
-    LinearCodeZq,
-    code_is_perfect,
-    code_minimum_distance,
-    code_packing_radius,
-    construction_a,
-    linfty_existence,
-    transfer_packing_radius,
-)
-from .homsearch import (
-    AbelianGroupSpec,
-    ClassificationReport,
-    GroupHomomorphism,
-    TokenOutcome,
-    abelian_groups_of_order,
-    classify,
-    is_bijective_on,
-    kernel_lattice,
-    search_homomorphisms,
-)
-from .density import (
-    DensityTable,
-    cubic_polyomino_check,
-    density_radius_bound,
-    high_dimension_density_bound,
-    induced_density_lower_bound,
-    load_density_table,
-    surviving_radii,
-    threshold_table,
-)
-from .tiler import (
-    PolyominoPlacement,
-    TileResult,
-    classify_point,
-    excludes_plane_tiling,
-    excludes_space_tiling,
-    tile_region,
-)

@@ -12,11 +12,10 @@ import os
 import sys
 import time
 
-from . import __version__, density, homsearch, svg, tiler, zqcodes
-from .distance_sets import enumerate_achievable
+# Each subcommand imports the library modules it runs when it runs, so that
+# a call loads (and, without cached bytecode, compiles) only those.
+from . import __version__
 from .geometry import INF, RadiusToken, difference_set, enumerate_ball
-from .lattices import IntegerLattice, verify_perfect
-from .zqcodes import LinearCodeZq
 
 DENSITY_FILE_ENV = "LPCODES_DENSITY_FILE"
 
@@ -99,6 +98,8 @@ def cmd_ball(args):
 
 
 def cmd_distances(args):
+    from .distance_sets import enumerate_achievable
+
     table = enumerate_achievable(args.p, args.n, args.limit, args.q)
     payload = table.to_json()
     payload["manifest"] = _manifest("distances", args)
@@ -107,6 +108,8 @@ def cmd_distances(args):
 
 
 def cmd_verify(args):
+    from .lattices import IntegerLattice, verify_perfect
+
     lat = IntegerLattice.from_rows(args.basis, len(args.basis[0]))
     cert = verify_perfect(lat, args.p, RadiusToken(args.p, args.s))
     payload = cert.to_json()
@@ -116,7 +119,9 @@ def cmd_verify(args):
 
 
 def cmd_code(args):
-    code = LinearCodeZq(args.q, args.n, tuple(args.gen or ()))
+    from . import zqcodes
+
+    code = zqcodes.LinearCodeZq(args.q, args.n, tuple(args.gen or ()))
     lat = zqcodes.construction_a(code)
     payload = {
         "code": code.to_json(),
@@ -138,6 +143,10 @@ def cmd_code(args):
 
 
 def cmd_search(args):
+    from . import homsearch
+
+    if args.budget is None:  # the manifest records the budget the search used
+        args.budget = homsearch.DEFAULT_BUDGET
     report = homsearch.classify(
         args.n, args.p, args.s_max, budget=args.budget, jobs=args.jobs
     )
@@ -153,6 +162,8 @@ def cmd_search(args):
 
 
 def cmd_bounds(args):
+    from . import density
+
     path = args.density_file or os.environ.get(DENSITY_FILE_ENV)
     table = density.load_density_table(path)
     payload = {"manifest": _manifest("bounds", args)}
@@ -179,6 +190,8 @@ def cmd_bounds(args):
 
 
 def cmd_tile_region(args):
+    from . import tiler
+
     footprint = enumerate_ball(args.n, RadiusToken.from_radius(args.p, args.r))
     result = tiler.tile_region(footprint, args.extent, budget=args.budget)
     payload = result.to_json()
@@ -202,6 +215,8 @@ def cmd_render(args):
 
 
 def _render_object(obj):
+    from . import svg
+
     if "centers" in obj and obj.get("status") == "completed":
         foot = enumerate_ball(2, _token_from(obj)).points
         return svg.render_placements(foot, [tuple(c) for c in obj["centers"]])
@@ -214,6 +229,8 @@ def _render_object(obj):
 
 
 def _render_search_lines(text):
+    from . import svg
+
     for line in text.splitlines():
         if not line.strip():
             continue
@@ -272,7 +289,7 @@ def build_parser():
     p_search.add_argument("--n", type=int, required=True)
     p_search.add_argument("--p", type=_parse_exponent, required=True)
     p_search.add_argument("--s-max", type=int, required=True)
-    p_search.add_argument("--budget", type=int, default=homsearch.DEFAULT_BUDGET)
+    p_search.add_argument("--budget", type=int)
     p_search.add_argument("--jobs", type=int, default=1)
     p_search.add_argument("--out")
     p_search.set_defaults(func=cmd_search)

@@ -16,8 +16,14 @@ from .intmath import factorize, iroot
 
 INF = math.inf
 
+# enumerate_ball refuses larger balls, whose points (and B - B, which is
+# larger still) would not fit in memory.  Every ball the sweeps build is
+# far smaller: n=4 up to its density cutoff s = 79 has 31,521 points.
+MAX_BALL_POINTS = 10**6
+
 __all__ = [
     "INF",
+    "MAX_BALL_POINTS",
     "RadiusToken",
     "DiscreteBall",
     "DifferenceSet",
@@ -217,11 +223,21 @@ class DifferenceSet:
 
 
 def enumerate_ball(n, token):
-    """DiscreteBall for B_p^n(r), points in lexicographic order."""
+    """DiscreteBall for B_p^n(r), points in lexicographic order.
+
+    Raises ValueError, before listing any point, for a ball of more than
+    MAX_BALL_POINTS points.
+    """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if not isinstance(token, RadiusToken):
         raise ValueError("radius must be a RadiusToken")
+    size = ball_cardinality(n, token)
+    if size > MAX_BALL_POINTS:
+        raise ValueError(
+            f"the ball n={n}, p={token.json_p()}, s={token.power_value} has {size} points, "
+            f"more than MAX_BALL_POINTS = {MAX_BALL_POINTS}"
+        )
     if token.p == INF:
         rng = range(-token.power_value, token.power_value + 1)
         pts = tuple(itertools.product(rng, repeat=n))
@@ -249,8 +265,8 @@ def enumerate_ball(n, token):
 def _count(n, budget, p):
     if budget < 0:
         return 0
-    if n == 0:
-        return 1
+    if n == 1:
+        return 2 * iroot(budget, p) + 1
     total = _count(n - 1, budget, p)
     c = 1
     while c**p <= budget:

@@ -46,7 +46,6 @@ __all__ = [
     "kernel_homomorphism",
     "search_homomorphisms",
     "classify",
-    "brute_force_search",
 ]
 
 DEFAULT_BUDGET = 10**7
@@ -450,22 +449,3 @@ def classify(n, p, s_max, budget=DEFAULT_BUDGET, jobs=1):
             out = replace(out, certificate=cert)
         verified.append(out)
     return ClassificationReport(n, p, s_max, budget, tuple(verified))
-
-
-def brute_force_search(n, token):
-    """Unreduced reference search: every image tuple of every group.
-
-    Exponential; only for cross-validating the symmetry reductions on
-    tiny cases.  Returns the first homomorphism in lexicographic encode
-    order, or None.
-    """
-    ball = enumerate_ball(n, token)
-    diffs = [v for v in difference_set(ball).points if any(v)]
-    for group in abelian_groups_of_order(ball.cardinality):
-        zero = group.identity
-        for combo in itertools.product(range(group.order), repeat=n):
-            images = tuple(group.decode(i) for i in combo)
-            phi = GroupHomomorphism(group, images)
-            if all(phi.apply(v) != zero for v in diffs):
-                return phi
-    return None

@@ -65,12 +65,3 @@ def divisors(n):
     for p, e in factorize(n).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
-
-
-def squarefree_part(n):
-    """Largest squarefree divisor d of n with n/d a perfect square."""
-    out = 1
-    for p, e in factorize(n).items():
-        if e % 2:
-            out *= p
-    return out

@@ -2,18 +2,21 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 CLI = [sys.executable, "-m", "lpcodes.cli"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def run(*args, env=None):
+def run(*args, env=None, timeout=300):
     merged = dict(os.environ)
     if env:
         merged.update(env)
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=merged, timeout=300
+        CLI + list(args), capture_output=True, text=True, env=merged, timeout=timeout
     )
 
 
@@ -39,6 +42,13 @@ def test_ball_sup_metric():
     obj = json.loads(proc.stdout)
     assert obj["manifest"]["parameters"]["p"] == "inf"
     assert len(obj["points"]) == 9
+
+
+def test_ball_over_the_size_guard_exits_1_quickly():
+    proc = run("ball", "--n", "10", "--p", "2", "--s", "100", timeout=30)
+    assert proc.returncode == 1
+    assert "26107328109 points" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_ball_writes_file(tmp_path):
@@ -223,6 +233,12 @@ def test_tile_region_budget_exit_2():
 
 # ---------------------------------------------------------------- render
 
+def test_tile_region_over_the_size_guard_exits_1():
+    proc = run("tile-region", "--n", "3", "--p", "2", "--r", "1", "--extent", "50", timeout=30)
+    assert proc.returncode == 1
+    assert "1030301 points" in proc.stderr  # the region [-50, 50]^3
+
+
 def test_render_tile_result(tmp_path):
     art = tmp_path / "tile.json"
     svg = tmp_path / "tile.svg"
@@ -282,3 +298,61 @@ def test_manifest_carries_version_and_parameters():
     assert set(manifest) == {"subcommand", "parameters", "version"}
     assert manifest["parameters"]["limit"] == 5
     assert "subcommand" not in manifest["parameters"]
+
+
+# ------------------------------------------------------ import footprint
+
+def loaded_modules(*argv):
+    """The lpcodes modules a fresh interpreter imports, read from -X importtime."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = set()
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:"):
+            name = line.rsplit("|", 1)[1].strip()
+            if name.split(".")[0] == "lpcodes":
+                names.add(name)
+    return names
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_modules("-c", "import lpcodes") == {"lpcodes"}
+
+
+def test_search_loads_only_the_search_modules():
+    loaded = loaded_modules("-m", "lpcodes.cli", "search", "--n", "2", "--p", "2", "--s-max", "4")
+    assert "lpcodes.homsearch" in loaded
+    for name in ("zqcodes", "density", "tiler", "svg"):
+        assert f"lpcodes.{name}" not in loaded
+
+
+def test_tile_region_loads_only_the_tiler_modules():
+    loaded = loaded_modules(
+        "-m", "lpcodes.cli", "tile-region", "--n", "2", "--p", "2", "--r", "1", "--extent", "3"
+    )
+    assert "lpcodes.tiler" in loaded
+    for name in ("homsearch", "lattices", "distance_sets", "zqcodes", "density", "svg"):
+        assert f"lpcodes.{name}" not in loaded
+
+
+# ----------------------------------------------------------------- README
+
+def readme_cli_examples():
+    """Each command line of the README's CLI block, split as a shell would."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+def test_readme_cli_examples_run(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for argv in readme_cli_examples():  # in order: render reads the tile-region output
+        assert argv[0] == "lpcodes"
+        proc = subprocess.run(
+            CLI + argv[1:], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+    assert (tmp_path / "tile.svg").read_text().startswith("<svg")

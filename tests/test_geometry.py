@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpcodes import geometry
 from lpcodes.geometry import (
     INF,
     RadiusToken,
@@ -145,6 +146,16 @@ def test_ball_count_matches_enumeration():
             for s in (0, 1, 2, 5, 9):
                 token = RadiusToken(p, s)
                 assert ball_cardinality(n, token) == enumerate_ball(n, token).cardinality
+
+
+def test_enumerate_ball_refuses_balls_over_the_size_guard(monkeypatch):
+    assert ball_cardinality(4, RadiusToken(2, 79)) <= geometry.MAX_BALL_POINTS
+    with pytest.raises(ValueError, match="26107328109 points"):
+        enumerate_ball(10, RadiusToken(2, 100))
+    monkeypatch.setattr(geometry, "MAX_BALL_POINTS", 13)
+    assert enumerate_ball(2, RadiusToken(2, 4)).cardinality == 13
+    with pytest.raises(ValueError, match="21 points"):
+        enumerate_ball(2, RadiusToken(2, 5))
 
 
 def test_ball_signed_permutation_symmetry():

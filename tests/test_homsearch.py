@@ -18,7 +18,6 @@ from lpcodes.homsearch import (
     AbelianGroupSpec,
     GroupHomomorphism,
     abelian_groups_of_order,
-    brute_force_search,
     classify,
     is_bijective_on,
     kernel_homomorphism,
@@ -248,6 +247,24 @@ def test_homomorphism_json_roundtrip():
     phi = out.homomorphism
     again = GroupHomomorphism.from_json(phi.to_json())
     assert again == phi
+
+
+def brute_force_search(n, token):
+    """Unreduced reference search: every image tuple of every group.
+
+    Exponential; only for cross-validating the kernel walk on tiny cases.
+    Returns the first homomorphism in lexicographic encode order, or None.
+    """
+    ball = enumerate_ball(n, token)
+    diffs = [v for v in difference_set(ball).points if any(v)]
+    for group in abelian_groups_of_order(ball.cardinality):
+        zero = group.identity
+        for combo in itertools.product(range(group.order), repeat=n):
+            images = tuple(group.decode(i) for i in combo)
+            phi = GroupHomomorphism(group, images)
+            if all(phi.apply(v) != zero for v in diffs):
+                return phi
+    return None
 
 
 def test_brute_force_agrees_on_small_tokens():

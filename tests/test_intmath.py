@@ -3,7 +3,7 @@
 import math
 import random
 
-from lpcodes.intmath import divisors, factorize, iroot, squarefree_part, xgcd
+from lpcodes.intmath import divisors, factorize, iroot, xgcd
 
 
 def test_iroot_exact_and_floor():
@@ -46,11 +46,3 @@ def test_divisors():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(49) == [1, 7, 49]
-
-
-def test_squarefree_part():
-    assert squarefree_part(1) == 1
-    assert squarefree_part(8) == 2
-    assert squarefree_part(12) == 3
-    assert squarefree_part(49) == 1
-    assert squarefree_part(30) == 30
