@@ -16,9 +16,10 @@ from .intmath import factorize, iroot
 
 INF = math.inf
 
-# enumerate_ball refuses larger balls, whose points (and B - B, which is
-# larger still) would not fit in memory.  Every ball the sweeps build is
-# far smaller: n=4 up to its density cutoff s = 79 has 31,521 points.
+# enumerate_ball refuses larger balls, whose points would not fit in
+# memory, and difference_set refuses a ball whose doubled ball (which
+# contains B - B) is larger.  The sweeps stay well inside: n=4 up to its
+# density cutoff s = 79 has 31,521 points and a doubled ball of 494,425.
 MAX_BALL_POINTS = 10**6
 
 __all__ = [
@@ -291,7 +292,19 @@ def difference_set(ball):
     [-h_a, h_a] over its prefix a, so B - B holds (u, t) exactly when
     |t| <= max(h_a + h_b) over prefix pairs with a - b = u.  Only pairs
     of prefixes are visited, not pairs of points.
+
+    Raises ValueError, before visiting any pair, when the ball of twice
+    the radius, which contains B - B, has more than MAX_BALL_POINTS points.
     """
+    n, token = ball.dimension, ball.radius
+    doubled = RadiusToken(token.p, token.power_value * (2 if token.p == INF else 2**token.p))
+    bound = ball_cardinality(n, doubled)
+    if bound > MAX_BALL_POINTS:
+        raise ValueError(
+            f"B - B of the ball n={n}, p={token.json_p()}, s={token.power_value} may have up to "
+            f"{bound} points (the ball of twice the radius), more than MAX_BALL_POINTS = "
+            f"{MAX_BALL_POINTS}"
+        )
     heights = {}
     for *a, t in ball.points:
         a = tuple(a)
@@ -390,7 +403,9 @@ def compare_root_sums(p, left, right):
     radical parts are cancelled symbolically; a genuinely mixed-radical
     difference is resolved by escalating-precision evaluation (it is then
     a nonzero algebraic number, which at the sizes handled here separates
-    from zero well before 1000 digits).
+    from zero well before 1000 digits).  A sign is accepted only when the
+    value exceeds the rounding error of the sum, which grows with the
+    magnitude sum(|c| * b**(1/m)) of its terms.
     """
     if p == INF or p == 1:
         val = sum(c * s for c, s in left) - sum(c * s for c, s in right)
@@ -412,9 +427,9 @@ def compare_root_sums(p, left, right):
 
     for dps in (60, 150, 400, 1000):
         with mpmath.workdps(dps):
-            val = mpmath.mpf(0)
-            for (b, m), c in acc.items():
-                val += c * mpmath.root(b, m)
-            if abs(val) > mpmath.mpf(10) ** (-(dps - 15)):
+            terms = [c * mpmath.root(b, m) for (b, m), c in acc.items()]
+            val = mpmath.fsum(terms)
+            scale = mpmath.fsum(abs(t) for t in terms)
+            if abs(val) > scale * mpmath.mpf(10) ** (-(dps - 15)):
                 return 1 if val > 0 else -1
     raise ArithmeticError(f"could not separate radical sum from zero: {acc}")

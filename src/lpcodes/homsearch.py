@@ -19,16 +19,30 @@ basis, row j = (h_0, ..., h_{j-1}, d_j) with d_0 * ... * d_{n-1} = m and
   and (v_j / d_j) h = v[:j] modulo L_{j-1}, for then v lies in the
   lattice.
 
+Each node of the walk (the rows fixed so far) puts Z^j / L_{j-1} in
+quotient coordinates once, for all its diagonals: the Smith form of the
+rows gives an isomorphism phi onto Z_e1 x ... x Z_ek, packed into an
+index below M = d_0 * ... * d_{j-1}, and a reach table maps phi(u), for
+each prefix u = v[:j] of B - B, to the largest v_j over prefixes with
+that image.  The test above is then reach[y phi(h)] >= y d_j for some
+y >= 1: one list lookup and a few modular multiplications per residue,
+on single ints when the quotient is cyclic.  A node builds its table on
+the first diagonal that B - B can reach, so a node whose first residue
+passes outright never builds one.
+
 The first complete basis is the kernel, and the homomorphism is read off
 it (kernel_homomorphism).  candidates_examined counts the diagonals and
-residues examined, and the budget bounds that count.
+residues examined, the rejected residues in bulk, and the budget bounds
+that count: a search that runs out records budget + 1.
 """
 
 import itertools
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 from . import distance_sets, lattices
 from .geometry import INF, RadiusToken, difference_set, enumerate_ball
@@ -231,10 +245,11 @@ def kernel_lattice(phi):
 def _slices(diffs, n):
     """Difference vectors keyed by highest nonzero coordinate j, upper half.
 
-    Level j maps each prefix u = v[:j] to the largest v_j > 0 over
-    v = (u, v_j, 0, ..., 0) in B - B; the negated vectors add nothing
-    (the lattice is symmetric), and B - B is an interval along every
-    axis, so v_j runs over 1..top.
+    Level j maps each prefix u = v[:j] to its top, the largest v_j > 0
+    over v = (u, v_j, 0, ..., 0) in B - B; the negated vectors add
+    nothing (the lattice is symmetric), and B - B is an interval along
+    every axis, so v_j runs over 1..top.  Each level is (tops, columns)
+    with the prefixes by ascending top, columns[i] their i-th coordinates.
     """
     out = [{} for _ in range(n)]
     for v in diffs:
@@ -243,60 +258,166 @@ def _slices(diffs, n):
             j -= 1
         if j >= 0 and v[j] > 0:
             out[j][v[:j]] = max(out[j].get(v[:j], 0), v[j])
-    return [sorted(level.items()) for level in out]
+    levels = []
+    for j, level in enumerate(out):
+        items = sorted(level.items(), key=lambda item: item[1])
+        levels.append(([top for _, top in items], [[u[i] for u, _ in items] for i in range(j)]))
+    return levels
 
 
-def _reduce(w, rows):
-    """Canonical residue of w in Z^j modulo the lower-triangular rows (0 <= w_i < d_i)."""
-    w = list(w)
-    for i in range(len(rows) - 1, -1, -1):
-        c = w[i] // rows[i][i]
-        if c:
-            for k in range(i + 1):
-                w[k] -= c * rows[i][k]
-    return tuple(w)
+def _residue(idx, radix):
+    """The canonical residue of Z^j / L with mixed-radix index idx.
+
+    radix holds the diagonals d_0, ..., d_{j-1} of L, and h_0 is the least
+    significant digit, so descending idx is the walk order.
+    """
+    h = []
+    for d in radix:
+        idx, c = divmod(idx, d)
+        h.append(c)
+    return tuple(h)
 
 
-def _residues(rows):
-    """Canonical residues of Z^j / L, descending mixed radix (h_0 least significant)."""
-    ranges = [range(row[-1] - 1, -1, -1) for row in reversed(rows)]
-    return (h[::-1] for h in itertools.product(*ranges))
+class _Quotient:
+    """Z^j / L for the Hermite rows fixed so far, in Smith coordinates.
+
+    With U R V = diag(e_1, ..., e_j) the Smith form of the rows R,
+    phi(x) = x V mod (e_1, ..., e_k) (the factors above 1) is an
+    isomorphism onto Z_e1 x ... x Z_ek, packed into an index below
+    M = d_0 ... d_{j-1} (e_1 least significant).  reach[phi(u)] is the
+    largest top over the prefixes u of B - B at level j with that image,
+    0 where there is none; tops below the least diagonal the node tests
+    can reject nothing and are left out.
+
+    scan(hi, lo, d, ymax) returns the first canonical residue index from
+    hi down to lo whose row passes under diagonal d, or -1.  Along a run
+    of h_0 (the higher digits fixed) phi steps by -phi(e_0), so each
+    residue costs a lookup and, if that passes, a few multiplications;
+    a cyclic quotient (k <= 1) does this on single ints mod M.
+    """
+
+    def __init__(self, rows, radix, level, least):
+        j = len(rows)
+        self.radix = radix
+        factors, V = lattices._smith([row + (0,) * (j - len(row)) for row in rows])
+        keep = [c for c, e in enumerate(factors) if e > 1]
+        self.factors = [factors[c] for c in keep]
+        self.order = prod(self.factors)
+        self.images = [[row[c] % factors[c] for c in keep] for row in V]
+        self.strides = [prod(self.factors[:c]) for c in range(len(keep))]
+        tops, columns = level
+        start = bisect_left(tops, least)
+        columns = [col[start:] for col in columns]
+        keys = [0] * (len(tops) - start)
+        for c, (e, stride) in enumerate(zip(self.factors, self.strides)):
+            comp = [0] * len(keys)
+            for col, img in zip(columns, self.images):
+                comp = [a + x * img[c] for a, x in zip(comp, col)]
+            keys = [key + a % e * stride for key, a in zip(keys, comp)]
+        # ascending tops: the last write to a key is its largest top
+        self.reach = [0] * self.order
+        for key, top in zip(keys, tops[start:]):
+            self.reach[key] = top
+        if len(keep) <= 1:
+            self.gens = [img[0] if img else 0 for img in self.images] or [0]
+            self.outer = list(zip(radix[1:], self.gens[1:]))
+            self.scan = self._scan_cyclic
+        else:
+            self.scan = self._scan_general
+
+    def _phi(self, x):
+        return [sum(xi * img[c] for xi, img in zip(x, self.images)) % e
+                for c, e in enumerate(self.factors)]
+
+    def _scan_general(self, hi, lo, d, ymax):
+        reach, factors, strides, radix = self.reach, self.factors, self.strides, self.radix
+        inner, step = radix[0], self.images[0]
+        block, top = divmod(hi, inner)
+        while True:
+            phi = self._phi(_residue(block * inner + top, radix))
+            for h0 in range(top, max(lo - block * inner, 0) - 1, -1):
+                if reach[sum(map(mul, phi, strides))] < d:
+                    for y in range(2, ymax + 1):
+                        key = sum(map(mul, [y * a % e for a, e in zip(phi, factors)], strides))
+                        if reach[key] >= y * d:
+                            break
+                    else:
+                        return block * inner + h0
+                phi = [(a - s) % e for a, s, e in zip(phi, step, factors)]
+            if block * inner <= lo:
+                return -1
+            block, top = block - 1, inner - 1
+
+    def _scan_cyclic(self, hi, lo, d, ymax):
+        M, reach = self.order, self.reach
+        inner, g0 = (self.radix or [1])[0], self.gens[0]
+        multiples = [(y, y * d) for y in range(2, ymax + 1)]
+        block, top = divmod(hi, inner)
+        while True:
+            rest, base = block, top * g0
+            for d_i, g_i in self.outer:
+                rest, c = divmod(rest, d_i)
+                base += c * g_i
+            g = base % M
+            for h0 in range(top, max(lo - block * inner, 0) - 1, -1):
+                if reach[g] < d:
+                    for y, yd in multiples:
+                        if reach[y * g % M] >= yd:
+                            break
+                    else:
+                        return block * inner + h0
+                g = (g - g0) % M
+            if block * inner <= lo:
+                return -1
+            block, top = block - 1, inner - 1
 
 
 def _find_kernel(n, m, slices, budget, counter):
     """The first index-m lattice in walk order meeting B - B only at 0, or None.
 
-    counter[0] counts the diagonals and residues examined.
+    Row h under diagonal d is rejected iff reach[y phi(h)] >= y d for
+    some y >= 1, for then some prefix u with phi(u) = y phi(h) reaches
+    y d, and (u, y d) in B - B lies in the lattice.  counter[0] counts
+    the diagonals and residues examined; rejected residues are counted in
+    bulk, and an over-budget walk stops with counter[0] = budget + 1.
     """
     rows = []
+    max_tops = [tops[-1] if tops else 0 for tops, _ in slices]
 
-    def tick():
-        counter[0] += 1
+    def spend(k):
+        counter[0] += k
         if counter[0] > budget:
+            counter[0] = budget + 1
             raise _BudgetExceeded
 
     def descend(j, rest):
         diagonals = [rest] if j == n - 1 else divisors(rest)[::-1]
+        radix = [row[i] for i, row in enumerate(rows)]
+        size = prod(radix)
+        quotient = None  # built on the first diagonal that B - B can reach
         for d in diagonals:
-            tick()
-            # v lies in the lattice iff d | v_j and (v_j / d) h = v[:j] mod rows
-            targets = {}
-            for u, top in slices[j]:
-                if top >= d:
-                    r = _reduce(u, rows)
-                    for y in range(1, top // d + 1):
-                        targets.setdefault(y, set()).add(r)
-            direct = targets.pop(1, ())  # y = 1: h is already canonical
-            for h in _residues(rows):
-                tick()
-                if h in direct or any(
-                    _reduce([y * c for c in h], rows) in hit for y, hit in targets.items()
-                ):
-                    continue
-                rows.append(h + (d,))
+            spend(1)
+            ymax = max_tops[j] // d
+            if ymax and quotient is None:
+                quotient = _Quotient(rows, radix, slices[j], diagonals[-1])
+            idx = size - 1
+            while idx >= 0:
+                # examine at most the residues the budget has left
+                lo = max(idx + 1 - (budget - counter[0]), 0)
+                if ymax:
+                    hit = quotient.scan(idx, lo, d, ymax)
+                else:
+                    hit = idx if idx >= lo else -1
+                if hit < 0:
+                    # with lo > 0 the budget ran out first: one more residue exceeds it
+                    spend(idx + 1 - lo + (lo > 0))
+                    break
+                spend(idx + 1 - hit)
+                rows.append(_residue(hit, radix) + (d,))
                 if j == n - 1 or descend(j + 1, rest // d):
                     return True
                 rows.pop()
+                idx = hit - 1
         return False
 
     if not descend(0, m):

@@ -260,3 +260,15 @@ def test_criterion_13_determinism():
     assert _survivors_snapshot(0) == _survivors_snapshot(1)
     assert _tiler_snapshot(0) == _tiler_snapshot(1)
     _stamp(13, "byte-identical reruns", t0, 1800)
+
+
+def test_criterion_14_dim3_classification_to_s32():
+    t0 = time.time()
+    report = classify(3, 2, 32)
+    assert report.found_tokens == (1, 3)
+    for outcome in report.outcomes:
+        if outcome.status == "found":
+            assert outcome.kernel == canonicalize(DIM3_KERNELS[outcome.token.power_value])
+        else:
+            assert outcome.status == "exhausted", outcome.token
+    _stamp(14, "dim-3 classification s <= 32", t0, 300)

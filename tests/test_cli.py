@@ -51,6 +51,13 @@ def test_ball_over_the_size_guard_exits_1_quickly():
     assert proc.stdout == ""
 
 
+def test_search_stops_at_the_difference_set_guard():
+    # s <= 3 still run; at s = 4 the ball of twice the radius has 3,083,569 points
+    proc = run("search", "--n", "10", "--p", "2", "--s-max", "100", "--budget", "10", timeout=30)
+    assert proc.returncode == 1
+    assert "n=10, p=2, s=4" in proc.stderr and "3083569 points" in proc.stderr
+
+
 def test_ball_writes_file(tmp_path):
     out = tmp_path / "ball.json"
     proc = run("ball", "--n", "2", "--p", "2", "--s", "1", "--out", str(out))

@@ -158,6 +158,18 @@ def test_enumerate_ball_refuses_balls_over_the_size_guard(monkeypatch):
         enumerate_ball(2, RadiusToken(2, 5))
 
 
+def test_difference_set_refuses_balls_whose_doubled_ball_is_over_the_guard(monkeypatch):
+    # B - B lies in the ball of twice the radius: power value s * 2^p, or 2s for p = inf
+    assert ball_cardinality(3, RadiusToken(2, 4 * 91)) == 29039
+    assert ball_cardinality(4, RadiusToken(2, 4 * 79)) == 494425 <= geometry.MAX_BALL_POINTS
+    with pytest.raises(ValueError, match="3083569 points"):
+        difference_set(enumerate_ball(10, RadiusToken(2, 4)))
+    monkeypatch.setattr(geometry, "MAX_BALL_POINTS", 25)
+    assert difference_set(enumerate_ball(2, RadiusToken(INF, 1))).cardinality == 25
+    with pytest.raises(ValueError, match="41 points"):
+        difference_set(enumerate_ball(2, RadiusToken(1, 2)))  # B_1^2(s=4)
+
+
 def test_ball_signed_permutation_symmetry():
     for n, token in ((2, RadiusToken(2, 8)), (3, RadiusToken(1, 3)), (2, RadiusToken(INF, 2))):
         pts = set(enumerate_ball(n, token).points)
@@ -293,6 +305,16 @@ def test_compare_root_sums():
     assert compare_root_sums(2, [(2, 2)], [(1, 8)]) == 0
     assert compare_root_sums(2, [(1, 5)], [(1, 2), (1, 1)]) < 0
     assert compare_root_sums(2, [(1, 9)], [(1, 4)]) > 0
+
+
+def test_compare_root_sums_with_large_coefficients():
+    # x + y sqrt(2) = (1 + sqrt(2))^k gives x^2 - 2 y^2 = (-1)^k, so x - y sqrt(2)
+    # has the sign (-1)^k and a size near 1 / (2x), with x of up to 153 digits
+    x, y = 1, 0
+    for k in range(1, 401):
+        x, y = x + 2 * y, x + y
+        assert compare_root_sums(2, [(x, 1)], [(y, 2)]) == (-1) ** k, k
+        assert compare_root_sums(2, [(y, 2)], [(x, 1)]) == -((-1) ** k), k
 
 
 @given(

@@ -13,8 +13,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpcodes import homsearch
 from lpcodes.geometry import INF, RadiusToken, difference_set, enumerate_ball
 from lpcodes.homsearch import (
+    DEFAULT_BUDGET,
     AbelianGroupSpec,
     GroupHomomorphism,
     abelian_groups_of_order,
@@ -24,7 +26,7 @@ from lpcodes.homsearch import (
     kernel_lattice,
     search_homomorphisms,
 )
-from lpcodes.lattices import canonicalize, verify_perfect
+from lpcodes.lattices import canonicalize, smith_normal_form, verify_perfect
 
 
 # ---------------------------------------------------------------- groups
@@ -277,6 +279,146 @@ def test_brute_force_agrees_on_small_tokens():
         assert (brute is not None) == (out.status == "found"), s
         if brute is not None:
             assert is_bijective_on(brute, enumerate_ball(2, token))
+
+
+# ------------------------------------------ the walk against a plain copy
+
+def reference_slices(diffs, n):
+    """Level j maps each prefix u to the largest v_j > 0 over v = (u, v_j, 0, ...)."""
+    out = [{} for _ in range(n)]
+    for v in diffs:
+        j = n - 1
+        while j >= 0 and v[j] == 0:
+            j -= 1
+        if j >= 0 and v[j] > 0:
+            out[j][v[:j]] = max(out[j].get(v[:j], 0), v[j])
+    return [sorted(level.items()) for level in out]
+
+
+def reference_reduce(w, rows):
+    """Canonical residue of w in Z^j modulo the lower-triangular rows (0 <= w_i < d_i)."""
+    w = list(w)
+    for i in range(len(rows) - 1, -1, -1):
+        c = w[i] // rows[i][i]
+        if c:
+            for k in range(i + 1):
+                w[k] -= c * rows[i][k]
+    return tuple(w)
+
+
+def reference_residues(rows):
+    """Canonical residues of Z^j / L, descending mixed radix (h_0 least significant)."""
+    ranges = [range(row[-1] - 1, -1, -1) for row in reversed(rows)]
+    return (h[::-1] for h in itertools.product(*ranges))
+
+
+class ReferenceBudgetExceeded(Exception):
+    pass
+
+
+def reference_search(n, token, budget, nodes):
+    """(status, kernel rows, candidates) from the walk that reduces every
+    residue and B - B prefix by the rows, one tick per diagonal and residue.
+
+    Appends to nodes the rows fixed at every node whose residues it scans.
+    """
+    ball = enumerate_ball(n, token)
+    slices = reference_slices(difference_set(ball).points, n)
+    rows = []
+    counter = [0]
+
+    def tick():
+        counter[0] += 1
+        if counter[0] > budget:
+            raise ReferenceBudgetExceeded
+
+    def descend(j, rest):
+        diagonals = [rest] if j == n - 1 else [d for d in range(rest, 0, -1) if rest % d == 0]
+        for d in diagonals:
+            tick()
+            nodes.append(tuple(rows))
+            targets = {}
+            for u, top in slices[j]:
+                if top >= d:
+                    r = reference_reduce(u, rows)
+                    for y in range(1, top // d + 1):
+                        targets.setdefault(y, set()).add(r)
+            direct = targets.pop(1, ())
+            for h in reference_residues(rows):
+                tick()
+                if h in direct or any(
+                    reference_reduce([y * c for c in h], rows) in hit for y, hit in targets.items()
+                ):
+                    continue
+                rows.append(h + (d,))
+                if j == n - 1 or descend(j + 1, rest // d):
+                    return True
+                rows.pop()
+        return False
+
+    try:
+        if not descend(0, ball.cardinality):
+            return "exhausted", None, counter[0]
+    except ReferenceBudgetExceeded:
+        return "inconclusive", None, counter[0]
+    return "found", tuple(row + (0,) * (n - len(row)) for row in rows), counter[0]
+
+
+WALK_GRID = [
+    (n, p, s)
+    for n, p, s_max in ((2, 1, 10), (2, 2, 30), (2, 3, 40), (2, INF, 4),
+                        (3, 1, 4), (3, 2, 9), (3, 3, 16), (3, INF, 2))
+    for s in range(1, s_max + 1)
+]
+
+
+def test_walk_matches_the_reference_walk():
+    nodes = []
+    for n, p, s in WALK_GRID:
+        token = RadiusToken(p, s)
+        if search_homomorphisms(n, token, budget=0).status == "skipped":
+            continue
+        for budget in (1, 2, 5, 37, 100, DEFAULT_BUDGET):
+            status, rows, candidates = reference_search(n, token, budget, nodes)
+            out = search_homomorphisms(n, token, budget=budget)
+            assert (out.status, out.candidates_examined) == (status, candidates), (n, p, s, budget)
+            assert (out.kernel.basis if out.kernel else None) == rows, (n, p, s, budget)
+    # the grid passes through quotients Z^j / L that are not cyclic
+    non_cyclic = {
+        rows for rows in nodes
+        if sum(f > 1 for f in smith_normal_form([row + (0,) * (len(rows) - len(row)) for row in rows])) > 1
+    }
+    assert ((5,), (0, 5)) in non_cyclic  # Lee n=3, s=2: Z_5 x Z_5
+
+
+@pytest.mark.parametrize("rows", [[(3,), (0, 3)], [(4,), (2, 2)], [(6,), (3, 3)], [(5,), (3, 2)]])
+def test_quotient_scan_matches_reduction(rows):
+    # prefixes in a box with assorted tops, as level 2 of some B - B in Z^3
+    diffs = [(a, b, t) for a in range(-4, 5) for b in range(-4, 5)
+             for t in range(1, 1 + (a * a + 3 * b * b + 2 * a) % 5)]
+    level = homsearch._slices(diffs, 3)[2]
+    tops = {}
+    for a, b, t in diffs:
+        tops[a, b] = max(tops.get((a, b), 0), t)
+    radix = [rows[0][0], rows[1][1]]
+    quotient = homsearch._Quotient(rows, radix, level, 1)
+    assert quotient.order == radix[0] * radix[1]
+    residues = list(reference_residues(rows))  # descending index order
+    for d in (1, 2, 3):
+        ymax = max(tops.values()) // d
+
+        def passes(h):
+            return not any(
+                reference_reduce([y * c for c in h], rows) == reference_reduce(u, rows)
+                for u, top in tops.items() for y in range(1, top // d + 1)
+            )
+
+        expected = [quotient.order - 1 - i for i, h in enumerate(residues) if passes(h)]
+        got, hi = [], quotient.order - 1
+        while (hit := quotient.scan(hi, 0, d, ymax)) >= 0:
+            got.append(hit)
+            hi = hit - 1
+        assert got == expected, d
 
 
 # ---------------------------------------------------------------- sweeps
