@@ -8,11 +8,7 @@ achievable radius token therefore classifies perfect codes outright; the
 group and the homomorphism are read off the kernel that is found.
 """
 
-from lpcodes.homsearch import abelian_groups_of_order, classify
-
-print("Quotients Z^2 / L for a kernel L of index 25:",
-      [g.label() for g in abelian_groups_of_order(25)])
-print()
+from lpcodes.homsearch import classify
 
 for n, p, s_max in ((2, 2, 8), (3, 2, 3)):
     report = classify(n, p, s_max)

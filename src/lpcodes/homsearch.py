@@ -30,6 +30,15 @@ on single ints when the quotient is cyclic.  A node builds its table on
 the first diagonal that B - B can reach, so a node whose first residue
 passes outright never builds one.
 
+The ball and B - B are invariant under signed permutations of the
+coordinates.  One that moves only the first j coordinates maps the
+completions of a node with rows L_j one to one onto those of the node
+HNF(g L_j), so a node of 2 <= j <= n - 1 rows is skipped when such an
+image comes earlier in walk order (the key d_0, d_1, idx_1, ..., larger
+first): the walk has searched that subtree already.  The first kernel in
+walk order is never skipped, so only candidates_examined changes; Z^2
+has no such node.
+
 The first complete basis is the kernel, and the homomorphism is read off
 it (kernel_homomorphism).  candidates_examined counts the diagonals and
 residues examined, the rejected residues in bulk, and the budget bounds
@@ -40,13 +49,13 @@ import itertools
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from math import gcd, lcm, prod
 from operator import mul
 
 from . import distance_sets, lattices
 from .geometry import INF, RadiusToken, difference_set, enumerate_ball
-from .intmath import divisors, factorize
+from .intmath import divisors, xgcd
 from .lattices import IntegerLattice
 
 __all__ = [
@@ -54,9 +63,6 @@ __all__ = [
     "GroupHomomorphism",
     "TokenOutcome",
     "ClassificationReport",
-    "abelian_groups_of_order",
-    "is_bijective_on",
-    "kernel_lattice",
     "kernel_homomorphism",
     "search_homomorphisms",
     "classify",
@@ -129,45 +135,6 @@ class AbelianGroupSpec:
         return " x ".join(f"Z_{d}" for d in reversed(self.factors)) or "Z_1"
 
 
-def _partitions(k):
-    """Integer partitions of k, parts descending, lexicographically largest first."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(k, 0, -1):
-        for rest in _partitions(k - first):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
-
-
-def abelian_groups_of_order(m):
-    """All Abelian groups of order m up to isomorphism, cyclic first.
-
-    Built by choosing a partition of each prime exponent and merging the
-    prime-power blocks columnwise into an invariant-factor chain.  The
-    list is ordered by descending factor profile, so Z_m always leads
-    and square-free m yields exactly one group.
-    """
-    if m < 1:
-        raise ValueError("order must be positive")
-    primes = sorted(factorize(m).items())
-    choices = [list(_partitions(e)) for _, e in primes]
-    groups = []
-    for combo in itertools.product(*choices):
-        depth = max((len(parts) for parts in combo), default=0)
-        chain = []
-        for row in range(depth):
-            d = 1
-            for (p, _), parts in zip(primes, combo):
-                if row < len(parts):
-                    d *= p ** parts[row]
-            chain.append(d)
-        # chain is descending by construction; store ascending
-        groups.append(AbelianGroupSpec(m, tuple(reversed(chain))))
-    groups.sort(key=lambda g: tuple(sorted(g.factors, reverse=True)), reverse=True)
-    return groups
-
-
 @dataclass(frozen=True)
 class GroupHomomorphism:
     """phi: Z^n -> G determined by the images of the standard basis."""
@@ -204,42 +171,6 @@ class GroupHomomorphism:
     def from_json(cls, obj):
         spec = AbelianGroupSpec(obj["group_order"], tuple(obj["group_factors"]))
         return cls(spec, tuple(tuple(g) for g in obj["images"]))
-
-
-def is_bijective_on(phi, ball):
-    """Whether phi restricted to the ball's points is a bijection onto G.
-
-    With |G| = |ball| this reduces (pigeonhole) to injectivity, i.e.
-    phi(v) != 0 for every nonzero difference v; unequal sizes are an
-    immediate no.
-    """
-    if phi.group.order != ball.cardinality:
-        return False
-    zero = phi.group.identity
-    for v in difference_set(ball).points:
-        if any(v) and phi.apply(v) == zero:
-            return False
-    return True
-
-
-def kernel_lattice(phi):
-    """Hermite basis of ker(phi) = {x in Z^n : phi(x) = 0}.
-
-    Computed from the integer left-nullspace of the images stacked over
-    diag(d_1..d_k): a relation (x, y) with x.M + y.D = 0 means exactly
-    that phi(x) vanishes.  det equals |G| iff phi is surjective, so a
-    smaller determinant is the caller's signal of a proper image.
-    """
-    n = phi.n
-    factors = phi.group.factors
-    k = len(factors)
-    if k == 0:
-        return IntegerLattice.from_rows([[int(i == j) for j in range(n)] for i in range(n)], n)
-    stacked = [list(g) for g in phi.images]
-    stacked += [[factors[c] if j == c else 0 for j in range(k)] for c in range(k)]
-    _, U, rank = lattices.integer_row_echelon(stacked)
-    relations = [row[:n] for row in U[rank:]]
-    return IntegerLattice.from_rows(relations, n)
 
 
 def _slices(diffs, n):
@@ -372,14 +303,74 @@ class _Quotient:
             block, top = block - 1, inner - 1
 
 
+@cache
+def _lattice_count(k, m):
+    """Index-m sublattices of Z^k: the sum over d_0 ... d_{k-1} = m of prod d_i^(k-1-i)."""
+    if k <= 1:
+        return int(k == 1 or m == 1)
+    return sum(d ** (k - 1) * _lattice_count(k - 1, m // d) for d in divisors(m))
+
+
+def _walk_key(basis):
+    """(d_0, idx_0, d_1, idx_1, ...) of a Hermite basis; larger keys are walked first."""
+    key = []
+    for i, row in enumerate(basis):
+        key += (row[i], reduce(lambda idx, k: idx * basis[k][k] + row[k], range(i - 1, -1, -1), 0))
+    return key
+
+
+def _has_earlier_image(rows):
+    """Whether a signed permutation of the rows' coordinates maps their lattice
+    to one whose Hermite basis comes earlier in walk order.
+
+    Two rows (d0), (h, d1) have three images besides themselves, modulo -I:
+    the flip of coordinate 1, (d0), (-h, d1), and the swap and the swap of
+    the flip, (D0), (+-b, g) with g = gcd(d0, h) = u d0 + v h, D0 = d0 d1 / g
+    and b = v d1.  More rows take the Hermite form of every image; all
+    images that send coordinate c to coordinate 0 share d_0, the least
+    multiple of e_c in the lattice, so one image with a smaller d_0 rules
+    out its whole group.
+    """
+    j = len(rows)
+    if j == 2:
+        (d0,), (h, d1) = rows
+        if -h % d0 > h:
+            return True
+        g, _, v = xgcd(d0, h)
+        D0 = d0 * d1 // g
+        b = v * d1 % D0
+        return (D0, g, max(b, -b % D0)) > (d0, d1, h)
+    basis = [row + (0,) * (j - len(row)) for row in rows]
+    key = _walk_key(basis)
+    for first in range(j):
+        others = [c for c in range(j) if c != first]
+        images = (
+            lattices.hermite_normal_form(
+                [[row[first]] + [s * row[c] for s, c in zip(signs, perm)] for row in basis], j)
+            for perm in itertools.permutations(others)
+            for signs in itertools.product((1, -1), repeat=j - 1)
+        )
+        for image in images:
+            if image[0][0] < basis[0][0]:
+                break
+            if _walk_key(image) > key:
+                return True
+    return False
+
+
 def _find_kernel(n, m, slices, budget, counter):
     """The first index-m lattice in walk order meeting B - B only at 0, or None.
 
     Row h under diagonal d is rejected iff reach[y phi(h)] >= y d for
     some y >= 1, for then some prefix u with phi(u) = y phi(h) reaches
-    y d, and (u, y d) in B - B lies in the lattice.  counter[0] counts
-    the diagonals and residues examined; rejected residues are counted in
-    bulk, and an over-budget walk stops with counter[0] = budget + 1.
+    y d, and (u, y d) in B - B lies in the lattice.  A node of 2 to n - 1
+    rows with an earlier image (_has_earlier_image) is skipped.
+
+    counter[0] counts the diagonals and residues examined, skipped nodes
+    included, and an over-budget walk stops with counter[0] = budget + 1.
+    counter[1] counts the index-m lattices ruled out, each rejected
+    residue and skipped node by its completions, so an exhausted walk
+    ends with the number of all index-m lattices.
     """
     rows = []
     max_tops = [tops[-1] if tops else 0 for tops, _ in slices]
@@ -397,6 +388,8 @@ def _find_kernel(n, m, slices, budget, counter):
         quotient = None  # built on the first diagonal that B - B can reach
         for d in diagonals:
             spend(1)
+            # the index-m lattices below each row under d
+            weight = (size * d) ** (n - 1 - j) * _lattice_count(n - 1 - j, rest // d)
             ymax = max_tops[j] // d
             if ymax and quotient is None:
                 quotient = _Quotient(rows, radix, slices[j], diagonals[-1])
@@ -409,12 +402,18 @@ def _find_kernel(n, m, slices, budget, counter):
                 else:
                     hit = idx if idx >= lo else -1
                 if hit < 0:
+                    counter[1] += (idx + 1 - lo) * weight
                     # with lo > 0 the budget ran out first: one more residue exceeds it
                     spend(idx + 1 - lo + (lo > 0))
                     break
+                counter[1] += (idx - hit) * weight
                 spend(idx + 1 - hit)
                 rows.append(_residue(hit, radix) + (d,))
-                if j == n - 1 or descend(j + 1, rest // d):
+                if j == n - 1:
+                    return True
+                if j and _has_earlier_image(rows):
+                    counter[1] += weight
+                elif descend(j + 1, rest // d):
                     return True
                 rows.pop()
                 idx = hit - 1
@@ -489,7 +488,7 @@ def search_homomorphisms(n, token, budget=DEFAULT_BUDGET):
     ball = enumerate_ball(n, token)
     m = ball.cardinality
     slices = _slices(difference_set(ball).points, n)
-    counter = [0]
+    counter = [0, 0]
     try:
         kernel = _find_kernel(n, m, slices, budget, counter)
     except _BudgetExceeded:

@@ -26,7 +26,6 @@ __all__ = [
     "canonicalize",
     "hermite_normal_form",
     "smith_normal_form",
-    "integer_row_echelon",
     "quotient_structure",
     "quotient_map",
     "minimum_distance",
@@ -216,42 +215,6 @@ def _smith(rows):
         factors.append(abs(A[t][t]))
         t += 1
     return tuple(factors), V
-
-
-def integer_row_echelon(rows):
-    """(H, U, rank) with U unimodular, U @ rows = H in row echelon form.
-
-    Rows of U beyond the rank are a basis of the integer left-nullspace.
-    """
-    A = [list(map(int, r)) for r in rows]
-    m = len(A)
-    ncols = len(A[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    pr = 0
-    for c in range(ncols):
-        live = [i for i in range(pr, m) if A[i][c]]
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(A[i][c]))
-            base = live[0]
-            for i in live[1:]:
-                q = A[i][c] // A[base][c]
-                for j in range(ncols):
-                    A[i][j] -= q * A[base][j]
-                for j in range(m):
-                    U[i][j] -= q * U[base][j]
-            live = [i for i in live if A[i][c]]
-        if not live:
-            continue
-        i0 = live[0]
-        A[pr], A[i0] = A[i0], A[pr]
-        U[pr], U[i0] = U[i0], U[pr]
-        if A[pr][c] < 0:
-            A[pr] = [-x for x in A[pr]]
-            U[pr] = [-x for x in U[pr]]
-        pr += 1
-        if pr == m:
-            break
-    return A, U, pr
 
 
 @dataclass(frozen=True)

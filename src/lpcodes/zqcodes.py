@@ -298,10 +298,12 @@ def linfty_existence(q, n):
 
 
 def all_linear_codes(q, n):
-    """Every distinct nonzero-generated additive code of Z_q^n (small q, n).
+    """The distinct additive codes of Z_q^n spanned by two generators (small q, n).
 
-    Brute-force enumeration by closing all generator pairs; used to
-    validate the sup-metric existence criterion exhaustively.
+    Brute-force enumeration by closing all generator pairs.  A subgroup
+    of Z_q^n needs up to n generators, so the list holds every code only
+    for n <= 2; that covers its use in validating the sup-metric
+    existence criterion exhaustively in the plane and on the line.
     """
     seen = {}
     vectors = list(itertools.product(range(q), repeat=n))

@@ -272,3 +272,29 @@ def test_criterion_14_dim3_classification_to_s32():
         else:
             assert outcome.status == "exhausted", outcome.token
     _stamp(14, "dim-3 classification s <= 32", t0, 300)
+
+
+def test_criterion_15_dim3_classification_to_density_cutoff():
+    t0 = time.time()
+    report = classify(3, 2, 91, jobs=2)  # s = 91 is the density cutoff for n = 3
+    assert report.found_tokens == (1, 3)
+    for outcome in report.outcomes:
+        if outcome.status == "found":
+            assert outcome.kernel == canonicalize(DIM3_KERNELS[outcome.token.power_value])
+        else:
+            assert outcome.status == "exhausted", outcome.token
+    _stamp(15, "dim-3 classification s <= 91", t0, 600)
+
+
+def test_criterion_16_lee_classification():
+    t0 = time.time()
+    # Golomb-Welch (1970): the Lee sphere of every radius tiles the plane
+    plane = classify(2, 1, 40)
+    assert plane.found_tokens == tuple(range(1, 41))
+    # Gravier-Mollard-Payan (1998): in Z^3 only radius 1 tiles
+    space = classify(3, 1, 10)
+    assert space.found_tokens == (1,)
+    assert all(o.status == "exhausted" for o in space.outcomes[1:])
+    for outcome in plane.outcomes + space.outcomes[:1]:
+        assert outcome.certificate.is_perfect, outcome.token
+    _stamp(16, "Lee classification, n = 2 to s = 40 and n = 3 to s = 10", t0, 120)

@@ -9,24 +9,23 @@ classifications touch.
 
 import itertools
 import json
+import math
 
 import pytest
+from group_helpers import abelian_groups_of_order, is_bijective_on, kernel_lattice
 from hypothesis import given, settings, strategies as st
 
-from lpcodes import homsearch
+from lpcodes import distance_sets, homsearch
 from lpcodes.geometry import INF, RadiusToken, difference_set, enumerate_ball
 from lpcodes.homsearch import (
     DEFAULT_BUDGET,
     AbelianGroupSpec,
     GroupHomomorphism,
-    abelian_groups_of_order,
     classify,
-    is_bijective_on,
     kernel_homomorphism,
-    kernel_lattice,
     search_homomorphisms,
 )
-from lpcodes.lattices import canonicalize, smith_normal_form, verify_perfect
+from lpcodes.lattices import canonicalize, hermite_normal_form, smith_normal_form, verify_perfect
 
 
 # ---------------------------------------------------------------- groups
@@ -312,15 +311,45 @@ def reference_residues(rows):
     return (h[::-1] for h in itertools.product(*ranges))
 
 
+def reference_walk_key(basis):
+    """(d_0, index_0, d_1, index_1, ...) of a Hermite basis, where index_i is
+    row i's mixed-radix residue index (h_0 least significant).  The walk
+    takes diagonals and residues in descending order, so it meets larger
+    keys first."""
+    key = []
+    for i, row in enumerate(basis):
+        index = sum(row[k] * math.prod(basis[l][l] for l in range(k)) for k in range(i))
+        key += [row[i], index]
+    return tuple(key)
+
+
+def reference_images(rows):
+    """Hermite bases of the rows' lattice under all 2^j j! signed permutations."""
+    j = len(rows)
+    basis = [row + (0,) * (j - len(row)) for row in rows]
+    for perm in itertools.permutations(range(j)):
+        for signs in itertools.product((1, -1), repeat=j):
+            yield hermite_normal_form([[s * row[c] for s, c in zip(signs, perm)] for row in basis], j)
+
+
+def reference_has_earlier_image(rows):
+    """Whether some signed permutation maps the rows' lattice to one with a larger walk key."""
+    key = reference_walk_key([row + (0,) * (len(rows) - len(row)) for row in rows])
+    return any(reference_walk_key(image) > key for image in reference_images(rows))
+
+
 class ReferenceBudgetExceeded(Exception):
     pass
 
 
-def reference_search(n, token, budget, nodes):
+def reference_search(n, token, budget, nodes, skipped=None):
     """(status, kernel rows, candidates) from the walk that reduces every
     residue and B - B prefix by the rows, one tick per diagonal and residue.
+    A node of 2 to n - 1 rows whose lattice has an image under a signed
+    permutation earlier in the walk is skipped after its tick.
 
-    Appends to nodes the rows fixed at every node whose residues it scans.
+    Appends to nodes the rows fixed at every node whose residues it scans,
+    and to skipped the rows of every node it skips.
     """
     ball = enumerate_ball(n, token)
     slices = reference_slices(difference_set(ball).points, n)
@@ -351,7 +380,12 @@ def reference_search(n, token, budget, nodes):
                 ):
                     continue
                 rows.append(h + (d,))
-                if j == n - 1 or descend(j + 1, rest // d):
+                if j == n - 1:
+                    return True
+                if 2 <= len(rows) and reference_has_earlier_image(rows):
+                    if skipped is not None:
+                        skipped.append(tuple(rows))
+                elif descend(j + 1, rest // d):
                     return True
                 rows.pop()
         return False
@@ -367,19 +401,20 @@ def reference_search(n, token, budget, nodes):
 WALK_GRID = [
     (n, p, s)
     for n, p, s_max in ((2, 1, 10), (2, 2, 30), (2, 3, 40), (2, INF, 4),
-                        (3, 1, 4), (3, 2, 9), (3, 3, 16), (3, INF, 2))
+                        (3, 1, 4), (3, 2, 9), (3, 3, 16), (3, INF, 2),
+                        (4, 1, 2), (4, 2, 3))
     for s in range(1, s_max + 1)
 ]
 
 
 def test_walk_matches_the_reference_walk():
-    nodes = []
+    nodes, skipped = [], []
     for n, p, s in WALK_GRID:
         token = RadiusToken(p, s)
         if search_homomorphisms(n, token, budget=0).status == "skipped":
             continue
         for budget in (1, 2, 5, 37, 100, DEFAULT_BUDGET):
-            status, rows, candidates = reference_search(n, token, budget, nodes)
+            status, rows, candidates = reference_search(n, token, budget, nodes, skipped)
             out = search_homomorphisms(n, token, budget=budget)
             assert (out.status, out.candidates_examined) == (status, candidates), (n, p, s, budget)
             assert (out.kernel.basis if out.kernel else None) == rows, (n, p, s, budget)
@@ -389,6 +424,54 @@ def test_walk_matches_the_reference_walk():
         if sum(f > 1 for f in smith_normal_form([row + (0,) * (len(rows) - len(row)) for row in rows])) > 1
     }
     assert ((5,), (0, 5)) in non_cyclic  # Lee n=3, s=2: Z_5 x Z_5
+    # both kinds of skipped prefix occur: two rows (n >= 3) and three (n = 4)
+    assert {len(rows) for rows in skipped} == {2, 3}
+
+
+def test_one_prefix_per_signed_permutation_orbit():
+    # the walk keeps exactly the basis with the largest walk key in each orbit
+    for j, indices in ((2, range(1, 31)), (3, range(1, 11))):
+        for index in indices:
+            bases = [[row[:i + 1] for i, row in enumerate(rows)] for rows in hermite_bases(j, index)]
+            kept = [rows for rows in bases if not homsearch._has_earlier_image(rows)]
+            assert kept == [rows for rows in bases if not reference_has_earlier_image(rows)]
+            orbits = {max(map(reference_walk_key, reference_images(rows))) for rows in bases}
+            assert len(kept) == len(orbits), (j, index)
+
+
+def lattice_count(n, m):
+    """Index-m sublattices of Z^n, straight from the Hermite diagonals:
+    the sum over d_0 ... d_{n-1} = m of prod d_i^(n-1-i)."""
+    if n == 0:
+        return int(m == 1)
+    return sum(d ** (n - 1) * lattice_count(n - 1, m // d) for d in range(1, m + 1) if m % d == 0)
+
+
+def test_lattice_count_closed_forms():
+    divs = [[d for d in range(1, m + 1) if m % d == 0] for m in range(61)]
+    for m in range(1, 61):
+        assert lattice_count(2, m) == sum(divs[m])  # sigma(m), OEIS A000203
+    # OEIS A001001, the number of index-m sublattices of Z^3
+    assert [lattice_count(3, m) for m in range(1, 13)] == [1, 7, 13, 35, 31, 91, 57, 155, 130, 217, 133, 455]
+    for n, m in ((2, 12), (3, 8), (3, 9)):
+        assert lattice_count(n, m) == len(hermite_bases(n, m))
+
+
+@pytest.mark.parametrize("n, p, s_max", [(2, 2, 60), (3, 2, 24), (4, 2, 3), (3, 1, 6), (3, 3, 20)])
+def test_exhausted_walks_rule_out_every_index_m_lattice(n, p, s_max):
+    # every rejected residue and skipped prefix counts all its completions,
+    # so an exhausted walk accounts for each index-m lattice exactly once
+    exhausted = 0
+    for s in range(1, s_max + 1):
+        if not distance_sets.is_achievable(p, n, s):
+            continue
+        ball = enumerate_ball(n, RadiusToken(p, s))
+        slices = homsearch._slices(difference_set(ball).points, n)
+        counter = [0, 0]
+        if homsearch._find_kernel(n, ball.cardinality, slices, DEFAULT_BUDGET, counter) is None:
+            exhausted += 1
+            assert counter[1] == lattice_count(n, ball.cardinality), s
+    assert exhausted
 
 
 @pytest.mark.parametrize("rows", [[(3,), (0, 3)], [(4,), (2, 2)], [(6,), (3, 3)], [(5,), (3, 2)]])
