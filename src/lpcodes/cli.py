@@ -40,6 +40,16 @@ def _parse_exponent(text):
     return value
 
 
+def _parse_jobs(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"jobs must be a positive integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError("jobs must be >= 1")
+    return value
+
+
 def _parse_row(text):
     try:
         return tuple(int(c) for c in text.split(","))
@@ -290,7 +300,8 @@ def build_parser():
     p_search.add_argument("--p", type=_parse_exponent, required=True)
     p_search.add_argument("--s-max", type=int, required=True)
     p_search.add_argument("--budget", type=int)
-    p_search.add_argument("--jobs", type=int, default=1)
+    p_search.add_argument("--jobs", type=_parse_jobs, default=1,
+                          help="processes that search, this one included")
     p_search.add_argument("--out")
     p_search.set_defaults(func=cmd_search)
 

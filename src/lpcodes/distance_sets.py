@@ -21,7 +21,6 @@ __all__ = [
     "AchievabilityTable",
     "is_achievable",
     "enumerate_achievable",
-    "waring_g",
     "sums_of_powers_reachable",
     "is_sum_of_two_squares",
     "is_sum_of_three_squares",
@@ -139,23 +138,3 @@ def enumerate_achievable(p, n, limit, q=None):
     reach = sums_of_powers_reachable(p, n, limit, cap)
     vals = tuple(s for s in range(limit + 1) if reach[s])
     return AchievabilityTable(p, n, limit, q, vals)
-
-
-# Exact values of Waring's g that the table vouches for: g(4) = 19
-# (Balasubramanian, Deshouillers and Dress, 1986) and g(5) = 37 (Chen, 1964).
-_WARING_KNOWN = {2: 4, 3: 9, 4: 19, 5: 37}
-
-
-def waring_g(p):
-    """(g, conjectured) such that every nonnegative integer is a sum of
-    g p-th powers.
-
-    Entries of the shipped table come back with conjectured = False;
-    everything else uses g(p) = 2**p + floor(1.5**p) - 2 and is flagged
-    conjectured = True.
-    """
-    if p < 2:
-        raise ValueError("waring_g expects p >= 2")
-    if p in _WARING_KNOWN:
-        return _WARING_KNOWN[p], False
-    return 2**p + 3**p // 2**p - 2, True

@@ -45,12 +45,14 @@ residues examined, the rejected residues in bulk, and the budget bounds
 that count: a search that runs out records budget + 1.
 """
 
+import contextlib
 import itertools
 import json
+import os
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cache, reduce
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 
 from . import distance_sets, lattices
@@ -75,9 +77,7 @@ DEFAULT_BUDGET = 10**7
 class AbelianGroupSpec:
     """Abelian group as an invariant-factor chain d_1 | d_2 | ... (each > 1).
 
-    Elements are residue tuples; `encode` packs them into mixed-radix
-    integers (first factor least significant) for dense table indexing.
-    The trivial group has an empty chain.
+    Elements are residue tuples.  The trivial group has an empty chain.
     """
 
     order: int
@@ -103,33 +103,11 @@ class AbelianGroupSpec:
     def identity(self):
         return (0,) * len(self.factors)
 
-    def encode(self, x):
-        idx = 0
-        for c, d in zip(reversed(x), reversed(self.factors)):
-            idx = idx * d + c
-        return idx
-
-    def decode(self, idx):
-        x = []
-        for d in self.factors:
-            idx, c = divmod(idx, d)
-            x.append(c)
-        return tuple(x)
-
-    def neg(self, x):
-        return tuple((-c) % d for c, d in zip(x, self.factors))
-
     def add(self, x, y):
         return tuple((a + b) % d for a, b, d in zip(x, y, self.factors))
 
     def scale(self, k, x):
         return tuple((k * c) % d for c, d in zip(x, self.factors))
-
-    def element_order(self, x):
-        return reduce(lcm, (d // gcd(c, d) for c, d in zip(x, self.factors)), 1)
-
-    def elements(self):
-        return (self.decode(i) for i in range(self.order))
 
     def label(self):
         return " x ".join(f"Z_{d}" for d in reversed(self.factors)) or "Z_1"
@@ -319,6 +297,22 @@ def _walk_key(basis):
     return key
 
 
+def _prefix_order(rows, c):
+    """The order of row c's prefix in Z^c / L, L spanned by the rows above it.
+
+    Back substitution from the top coordinate: t h lies in L only if
+    d_i | t v_i at each step, which forces the factor d_i / gcd(v_i, d_i).
+    """
+    order, v = 1, rows[c][:c]
+    for i in range(c - 1, -1, -1):
+        d = rows[i][i]
+        g = d // gcd(v[i], d)
+        q = v[i] * g // d
+        order *= g
+        v = [g * a - q * b for a, b in zip(v[:i], rows[i])]
+    return order
+
+
 def _has_earlier_image(rows):
     """Whether a signed permutation of the rows' coordinates maps their lattice
     to one whose Hermite basis comes earlier in walk order.
@@ -326,10 +320,12 @@ def _has_earlier_image(rows):
     Two rows (d0), (h, d1) have three images besides themselves, modulo -I:
     the flip of coordinate 1, (d0), (-h, d1), and the swap and the swap of
     the flip, (D0), (+-b, g) with g = gcd(d0, h) = u d0 + v h, D0 = d0 d1 / g
-    and b = v d1.  More rows take the Hermite form of every image; all
-    images that send coordinate c to coordinate 0 share d_0, the least
-    multiple of e_c in the lattice, so one image with a smaller d_0 rules
-    out its whole group.
+    and b = v d1.  With more rows, all images that send coordinate c to
+    coordinate 0 share their d_0, the least multiple of e_c in the lattice:
+    d_c times the order of row c's prefix modulo the rows above.  One such
+    d_0 above the lattice's own decides at once, and a group with a smaller
+    one is ruled out.  The groups that tie are compared in closed form when
+    the prefix is cyclic (d_1 = ... = 1) and by Hermite forms otherwise.
     """
     j = len(rows)
     if j == 2:
@@ -340,9 +336,26 @@ def _has_earlier_image(rows):
         D0 = d0 * d1 // g
         b = v * d1 % D0
         return (D0, g, max(b, -b % D0)) > (d0, d1, h)
+    d0 = rows[0][0]
+    firsts = [rows[c][c] * _prefix_order(rows, c) for c in range(j)]
+    if max(firsts) > d0:
+        return True
+    ties = [c for c in range(j) if firsts[c] == d0]
+    if all(row[-1] == 1 for row in rows[1:]):
+        # a cyclic prefix is the kernel of u = (1, -h_1, ..., -h_{j-1}) mod d0, and
+        # e_c ties exactly when u_c is a unit; its images are cyclic too, with
+        # rows (h'_t, 1), h'_t = -+u_s / u_c for the coordinate s sent to t
+        u = [1] + [-row[0] for row in rows[1:]]
+        own = tuple(row[0] for row in rows[1:])
+        for first in ties:
+            inv = pow(u[first], -1, d0)
+            for perm in itertools.permutations([c for c in range(j) if c != first]):
+                if tuple(max(y, -y % d0) for y in (u[c] * inv % d0 for c in perm)) > own:
+                    return True
+        return False
     basis = [row + (0,) * (j - len(row)) for row in rows]
     key = _walk_key(basis)
-    for first in range(j):
+    for first in ties:
         others = [c for c in range(j) if c != first]
         images = (
             lattices.hermite_normal_form(
@@ -350,11 +363,8 @@ def _has_earlier_image(rows):
             for perm in itertools.permutations(others)
             for signs in itertools.product((1, -1), repeat=j - 1)
         )
-        for image in images:
-            if image[0][0] < basis[0][0]:
-                break
-            if _walk_key(image) > key:
-                return True
+        if any(_walk_key(image) > key for image in images):
+            return True
     return False
 
 
@@ -530,17 +540,98 @@ class ClassificationReport:
         }
 
 
-def _classify_token(args):
-    n, p, s, budget = args
+def _classify_token(n, p, s, budget):
     return search_homomorphisms(n, RadiusToken(p, s), budget)
+
+
+def _run_share(n, p, share, budget):
+    """(outcomes, exception or None): the share's tokens in ascending order,
+    up to the first one that raises."""
+    outcomes = []
+    try:
+        for s in share:
+            outcomes.append(_classify_token(n, p, s, budget))
+    except Exception as exc:
+        return outcomes, exc
+    return outcomes, None
+
+
+def _search_in_child(write_fd, n, p, share, budget):
+    """Run a share in a forked child, pickle the result to write_fd, and exit.
+
+    The child always leaves by os._exit, so nothing the parent buffered
+    or registered (stdout, atexit, a test harness's capture) runs twice.
+    It exits 0 only once the whole payload is written.
+    """
+    import pickle
+
+    code = 1
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(_run_share(n, p, share, budget)))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _search_tokens(n, p, tokens, budget, jobs):
+    """search_homomorphisms over the ascending tokens on up to `jobs` processes.
+
+    The tokens, largest first, are dealt round-robin into k = min(jobs,
+    #tokens) shares; the caller runs share 0 and a forked child each of
+    the others.  Every share runs in ascending order and stops at its
+    first exception, so the one of the least failing token, raised here,
+    is the one a serial run raises.
+    """
+    k = max(1, min(jobs, len(tokens))) if hasattr(os, "fork") else 1
+    order = tokens[::-1]
+    shares = [sorted(order[i::k]) for i in range(k)]
+    if k > 1:  # a serial run loads neither
+        import pickle
+        import signal
+    children = []  # (pid, read end of its pipe) until reaped
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read_fd)
+                _search_in_child(write_fd, n, p, share, budget)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        results = [_run_share(n, p, shares[0], budget)]
+        while children:
+            pid, pipe = children[0]
+            payload = pipe.read()
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code != 0:
+                raise RuntimeError(
+                    f"a search process exited with {code} before reporting its tokens")
+            results.append(pickle.loads(payload))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    failures = [(share[len(outs)], exc) for share, (outs, exc) in zip(shares, results) if exc]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    by_s = {o.token.power_value: o for outs, _ in results for o in outs}
+    return [by_s[s] for s in tokens]
 
 
 def classify(n, p, s_max, budget=DEFAULT_BUDGET, jobs=1):
     """Classify every achievable token 1 <= s <= s_max for (n, p).
 
     s = 0 is excluded as trivial (the ball is the origin and Z^n itself
-    tiles).  Each found homomorphism's kernel is independently
-    re-verified as a perfect code, and the certificate is attached.
+    tiles).  jobs counts the processes that search, the caller included;
+    at most one runs per token, and without os.fork the caller searches
+    alone.  Each found homomorphism's kernel is independently re-verified
+    as a perfect code, and the certificate is attached.
     """
     if p == INF:
         tokens = list(range(1, s_max + 1))
@@ -550,14 +641,7 @@ def classify(n, p, s_max, budget=DEFAULT_BUDGET, jobs=1):
             for s in distance_sets.enumerate_achievable(p, n, s_max).achievable
             if s >= 1
         ]
-    work = [(n, p, s, budget) for s in tokens]
-    if jobs > 1 and len(work) > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(jobs) as pool:
-            outcomes = pool.map(_classify_token, work)
-    else:
-        outcomes = [_classify_token(w) for w in work]
+    outcomes = _search_tokens(n, p, tokens, budget, jobs)
     verified = []
     for out in outcomes:
         if out.status == "found":

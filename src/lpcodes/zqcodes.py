@@ -7,7 +7,6 @@ is the preimage of the code under reduction mod q ("construction A");
 packing radii transfer between the two exactly when 2r < q.
 """
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -295,21 +294,3 @@ def linfty_existence(q, n):
     r = (b - 1) // 2
     assert code.cardinality * (2 * r + 1) ** n == q**n
     return LinftyVerdict(q, n, True, b, m, r, code)
-
-
-def all_linear_codes(q, n):
-    """The distinct additive codes of Z_q^n spanned by two generators (small q, n).
-
-    Brute-force enumeration by closing all generator pairs.  A subgroup
-    of Z_q^n needs up to n generators, so the list holds every code only
-    for n <= 2; that covers its use in validating the sup-metric
-    existence criterion exhaustively in the plane and on the line.
-    """
-    seen = {}
-    vectors = list(itertools.product(range(q), repeat=n))
-    for g1 in vectors:
-        for g2 in vectors:
-            code = LinearCodeZq(q, n, (g1, g2))
-            words = code.codewords()
-            seen.setdefault(words, code)
-    return list(seen.values())

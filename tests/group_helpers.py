@@ -1,16 +1,49 @@
-"""Group machinery kept only as the tests' cross-check of the kernel walk.
+"""Group machinery kept only as the tests' cross-checks.
 
 The search finds tiling kernels directly; these helpers go the other way,
 from groups and homomorphisms to kernels, so the tests can compare the
-two independently.
+two independently.  all_linear_codes lists the subgroups of Z_q^n that
+the sup-metric existence criterion is checked against.
 """
 
 import itertools
+from functools import reduce
+from math import gcd, lcm
 
 from lpcodes.geometry import difference_set
 from lpcodes.homsearch import AbelianGroupSpec
 from lpcodes.intmath import factorize
 from lpcodes.lattices import IntegerLattice
+from lpcodes.zqcodes import LinearCodeZq
+
+
+def encode(group, x):
+    """The mixed-radix index of element x (first factor least significant)."""
+    idx = 0
+    for c, d in zip(reversed(x), reversed(group.factors)):
+        idx = idx * d + c
+    return idx
+
+
+def decode(group, idx):
+    """The element with mixed-radix index idx."""
+    x = []
+    for d in group.factors:
+        idx, c = divmod(idx, d)
+        x.append(c)
+    return tuple(x)
+
+
+def neg(group, x):
+    return tuple((-c) % d for c, d in zip(x, group.factors))
+
+
+def element_order(group, x):
+    return reduce(lcm, (d // gcd(c, d) for c, d in zip(x, group.factors)), 1)
+
+
+def elements(group):
+    return (decode(group, i) for i in range(group.order))
 
 
 def _partitions(k):
@@ -122,3 +155,21 @@ def kernel_lattice(phi):
     _, U, rank = integer_row_echelon(stacked)
     relations = [row[:n] for row in U[rank:]]
     return IntegerLattice.from_rows(relations, n)
+
+
+def all_linear_codes(q, n):
+    """The distinct additive codes of Z_q^n spanned by two generators (small q, n).
+
+    Brute-force enumeration by closing all generator pairs.  A subgroup
+    of Z_q^n needs up to n generators, so the list holds every code only
+    for n <= 2; that covers its use in validating the sup-metric
+    existence criterion exhaustively in the plane and on the line.
+    """
+    seen = {}
+    vectors = list(itertools.product(range(q), repeat=n))
+    for g1 in vectors:
+        for g2 in vectors:
+            code = LinearCodeZq(q, n, (g1, g2))
+            words = code.codewords()
+            seen.setdefault(words, code)
+    return list(seen.values())

@@ -13,6 +13,8 @@ import subprocess
 import sys
 import time
 
+from group_helpers import all_linear_codes
+
 from lpcodes.density import (
     cubic_polyomino_check,
     load_density_table,
@@ -40,7 +42,6 @@ from lpcodes.lattices import (
 from lpcodes.tiler import tile_region
 from lpcodes.zqcodes import (
     LinearCodeZq,
-    all_linear_codes,
     code_is_perfect,
     code_packing_radius,
     linfty_existence,

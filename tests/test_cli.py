@@ -7,6 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from lpcodes import cli
+
 CLI = [sys.executable, "-m", "lpcodes.cli"]
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,6 +60,25 @@ def test_search_stops_at_the_difference_set_guard():
     proc = run("search", "--n", "10", "--p", "2", "--s-max", "100", "--budget", "10", timeout=30)
     assert proc.returncode == 1
     assert "n=10, p=2, s=4" in proc.stderr and "3083569 points" in proc.stderr
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_search_error_on_any_share_matches_the_serial_run(jobs, capsys):
+    # every share stops at its first error; the least failing token's is raised, as with --jobs 1
+    argv = ["search", "--n", "10", "--p", "2", "--s-max", "100", "--budget", "10", "--jobs", jobs]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "n=10, p=2, s=4" in err and "3083569 points" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_search_rejects_jobs_below_1(jobs):
+    proc = run("search", "--n", "2", "--p", "2", "--s-max", "4", "--jobs", jobs)
+    assert proc.returncode == 1
+    assert "usage:" in proc.stderr and "jobs must be >= 1" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_ball_writes_file(tmp_path):
@@ -309,8 +332,8 @@ def test_manifest_carries_version_and_parameters():
 
 # ------------------------------------------------------ import footprint
 
-def loaded_modules(*argv):
-    """The lpcodes modules a fresh interpreter imports, read from -X importtime."""
+def loaded_modules(*argv, package="lpcodes"):
+    """The modules of `package` a fresh interpreter imports, read from -X importtime."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=300
     )
@@ -319,7 +342,7 @@ def loaded_modules(*argv):
     for line in proc.stderr.splitlines():
         if line.startswith("import time:"):
             name = line.rsplit("|", 1)[1].strip()
-            if name.split(".")[0] == "lpcodes":
+            if name.split(".")[0] == package:
                 names.add(name)
     return names
 
@@ -333,6 +356,8 @@ def test_search_loads_only_the_search_modules():
     assert "lpcodes.homsearch" in loaded
     for name in ("zqcodes", "density", "tiler", "svg"):
         assert f"lpcodes.{name}" not in loaded
+    parallel = ["-m", "lpcodes.cli", "search", "--n", "2", "--p", "2", "--s-max", "4", "--jobs", "2"]
+    assert loaded_modules(*parallel, package="multiprocessing") == set()
 
 
 def test_tile_region_loads_only_the_tiler_modules():

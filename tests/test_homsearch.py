@@ -10,9 +10,20 @@ classifications touch.
 import itertools
 import json
 import math
+import os
+import warnings
 
 import pytest
-from group_helpers import abelian_groups_of_order, is_bijective_on, kernel_lattice
+from group_helpers import (
+    abelian_groups_of_order,
+    decode,
+    element_order,
+    elements,
+    encode,
+    is_bijective_on,
+    kernel_lattice,
+    neg,
+)
 from hypothesis import given, settings, strategies as st
 
 from lpcodes import distance_sets, homsearch
@@ -56,12 +67,12 @@ def test_group_element_arithmetic():
     g = AbelianGroupSpec(12, (2, 6))
     a, b = (1, 4), (1, 5)
     assert g.add(a, b) == (0, 3)
-    assert g.neg((1, 4)) == (1, 2)
+    assert neg(g, (1, 4)) == (1, 2)
     assert g.scale(5, (1, 4)) == (1, 2)
-    assert g.element_order((0, 1)) == 6
-    assert g.element_order((1, 0)) == 2
-    assert g.element_order(g.identity) == 1
-    assert len(list(g.elements())) == 12
+    assert element_order(g, (0, 1)) == 6
+    assert element_order(g, (1, 0)) == 2
+    assert element_order(g, g.identity) == 1
+    assert len(list(elements(g))) == 12
 
 
 @given(st.sampled_from([(6,), (2, 6), (4, 4), (3, 9)]), st.integers(0, 35))
@@ -71,7 +82,7 @@ def test_group_encode_decode_roundtrip(factors, i):
         int.__mul__(*factors) if len(factors) == 2 else factors[0], factors
     )
     i %= g.order
-    assert g.encode(g.decode(i)) == i
+    assert encode(g, decode(g, i)) == i
 
 
 def test_group_labels():
@@ -261,7 +272,7 @@ def brute_force_search(n, token):
     for group in abelian_groups_of_order(ball.cardinality):
         zero = group.identity
         for combo in itertools.product(range(group.order), repeat=n):
-            images = tuple(group.decode(i) for i in combo)
+            images = tuple(decode(group, i) for i in combo)
             phi = GroupHomomorphism(group, images)
             if all(phi.apply(v) != zero for v in diffs):
                 return phi
@@ -439,6 +450,33 @@ def test_one_prefix_per_signed_permutation_orbit():
             assert len(kept) == len(orbits), (j, index)
 
 
+def test_prefix_order_gives_the_least_multiple_of_each_axis():
+    # d_c times the order of row c's prefix is the first Hermite diagonal
+    # of the lattice with coordinate c moved to the front
+    for j, indices in ((3, range(1, 13)), (4, range(1, 7))):
+        for index in indices:
+            for basis in hermite_bases(j, index):
+                rows = [row[:i + 1] for i, row in enumerate(basis)]
+                for c in range(j):
+                    moved = [[row[c]] + [x for i, x in enumerate(row) if i != c] for row in basis]
+                    least = hermite_normal_form(moved, j)[0][0]
+                    assert rows[c][c] * homsearch._prefix_order(rows, c) == least, (basis, c)
+
+
+def test_cyclic_prefixes_keep_the_reference_rule():
+    # cyclic prefixes (d_0, 1, ..., 1) skip by a closed form, not Hermite forms;
+    # the orbit test reaches index 10 only, so take larger d_0 and four rows too
+    kept = 0
+    for j, d0s in ((3, (7, 12, 30)), (4, (7, 12))):
+        for d0 in d0s:
+            for h in itertools.product(range(d0), repeat=j - 1):
+                rows = [(d0,)] + [(h[i - 1],) + (0,) * (i - 1) + (1,) for i in range(1, j)]
+                skip = homsearch._has_earlier_image(rows)
+                assert skip == reference_has_earlier_image(rows), rows
+                kept += not skip
+    assert kept > 0
+
+
 def lattice_count(n, m):
     """Index-m sublattices of Z^n, straight from the Hermite diagonals:
     the sum over d_0 ... d_{n-1} = m of prod d_i^(n-1-i)."""
@@ -528,10 +566,70 @@ def test_classify_l1_cross():
     assert report.outcomes[0].homomorphism.images == ((1,), (2,))
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_classify_parallel_matches_serial():
-    serial = classify(2, 2, 10)
-    parallel = classify(2, 2, 10, jobs=2)
-    assert serial.to_json_lines() == parallel.to_json_lines()
+    # l2 n=2, l2 n=3, Lee n=2, and a budget that leaves tokens inconclusive
+    windows = [((2, 2, 90), {}), ((3, 2, 24), {}), ((2, 1, 18), {}), ((3, 2, 24), {"budget": 50})]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args, kwargs in windows:
+            serial = classify(*args, **kwargs).to_json_lines()
+            for jobs in (2, 3, 8):
+                assert classify(*args, jobs=jobs, **kwargs).to_json_lines() == serial, (args, jobs)
+    assert '"status":"inconclusive"' in serial and '"status":"found"' in serial
+    assert_no_child_left()
+
+
+def test_classify_forks_one_child_per_share_beyond_its_own(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    report = classify(2, 2, 4, jobs=64)  # tokens 1, 2 and 4
+    assert len(report.outcomes) == 3 and len(forks) == 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_classify_raises_when_a_child_dies_without_reporting(monkeypatch, jobs):
+    parent, search = os.getpid(), homsearch._classify_token
+
+    def dies_at_9(n, p, s, budget):
+        if s == 9 and os.getpid() != parent:
+            os._exit(3)
+        return search(n, p, s, budget)
+
+    # tokens 1, 2, 4, 5, 8, 9, 10: s = 9 falls to the first child, and with
+    # jobs=3 the second child is still unreaped when the parent raises
+    monkeypatch.setattr(homsearch, "_classify_token", dies_at_9)
+    with pytest.raises(RuntimeError, match="exited with 3"):
+        classify(2, 2, 10, jobs=jobs)
+    assert_no_child_left()
+
+
+def test_classify_raises_the_least_failing_tokens_error(monkeypatch):
+    search = homsearch._classify_token
+
+    def fails_from_4(n, p, s, budget):
+        if s >= 4:
+            raise ValueError(f"token s={s}")
+        return search(n, p, s, budget)
+
+    monkeypatch.setattr(homsearch, "_classify_token", fails_from_4)
+    for jobs in (1, 2, 3, 8):
+        with pytest.raises(ValueError, match=r"^token s=4$"):
+            classify(2, 2, 10, jobs=jobs)
+    assert_no_child_left()
 
 
 def test_classify_serialization_shape():

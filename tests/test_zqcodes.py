@@ -3,13 +3,13 @@
 import random
 
 import pytest
+from group_helpers import all_linear_codes
 
 from lpcodes.geometry import INF, RadiusToken, plee_distance
 from lpcodes.lattices import minimum_distance as lattice_min_distance
 from lpcodes.lattices import packing_radius as lattice_packing_radius
 from lpcodes.zqcodes import (
     LinearCodeZq,
-    all_linear_codes,
     code_is_perfect,
     code_minimum_distance,
     code_packing_radius,
