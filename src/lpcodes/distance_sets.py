@@ -3,21 +3,33 @@
 A token s is an achievable l_p distance power in Z^n exactly when s is a
 sum of n p-th powers of nonnegative integers (zeros allowed).  With a
 modulus q the coordinates are additionally capped at floor(q/2), which
-is the p-Lee coordinate range.
+is the p-Lee coordinate range.  For the sup metric s is the radius
+itself, the largest coordinate, so every s is achievable, and with a
+modulus every s <= floor(q/2).
 
-Two independent routes are kept side by side: a dynamic-programming
-reachability table that works for every (p, n, cap), and the classical
-closed characterizations for squares (n = 2 via the two-squares theorem,
-n = 3 via the 4^m(8k+7) exclusion, n >= 4 everything).  The test suite
-cross-checks them against each other.
+Three exponents are decided in closed form: p = inf as above, p = 1
+(every s, or every s <= n floor(q/2) with a modulus, since one
+coordinate can carry any sum), and p = 2 without a modulus (n = 2 via
+the two-squares theorem, n = 3 via the 4^m(8k+7) exclusion, n >= 4
+everything).  Every other case goes through a dynamic-programming
+reachability table, which works for every finite (p, n, cap) and is
+the reference the test suite checks the closed forms against.  The
+table refuses limits above MAX_REACH_LIMIT before it allocates.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .geometry import INF, norm_power
 from .intmath import factorize, iroot
 
+# sums_of_powers_reachable refuses tables over this many sums, which cost
+# n * limit**(1/p) shifts of a limit-bit integer and a limit-byte result.
+# The suite and the sweeps stay far below: their largest table is 4,096.
+MAX_REACH_LIMIT = 2**22
+
 __all__ = [
+    "MAX_REACH_LIMIT",
     "AchievabilityTable",
     "is_achievable",
     "enumerate_achievable",
@@ -39,9 +51,17 @@ def sums_of_powers_reachable(p, n, limit, cap=None):
     reachable sums are the set bits of one Python integer, and adding a
     coordinate ORs in that integer shifted by each p-th power, so each
     step is a bitset operation rather than a loop over sums.
+
+    Raises ValueError, before building anything, for a limit above
+    MAX_REACH_LIMIT.
     """
     if p < 1 or n < 1 or limit < 0:
         raise ValueError("need p >= 1, n >= 1, limit >= 0")
+    if limit > MAX_REACH_LIMIT:
+        raise ValueError(
+            f"the distance table for p={p}, n={n} up to {limit} exceeds "
+            f"MAX_REACH_LIMIT = {MAX_REACH_LIMIT}"
+        )
     top = iroot(limit, p)
     if cap is not None:
         top = min(top, cap)
@@ -80,21 +100,29 @@ def _reach_limit(s):
     return max(1024, 1 << s.bit_length())
 
 
+def _cap(q):
+    """The largest p-Lee coordinate modulo q, None without a modulus."""
+    if q is None:
+        return None
+    if q < 2:
+        raise ValueError("modulus must be >= 2")
+    return q // 2
+
+
 def is_achievable(p, n, s, q=None):
     """Whether s is an achievable distance power for (p, n), optionally mod q.
 
-    Without a modulus, p = 2 uses the closed characterizations; every
-    other case (and every case with a coordinate cap) goes through the
-    DP table.
+    p = 1, p = inf and, without a modulus, p = 2 are decided in closed
+    form; every other case goes through the DP table.
     """
     if s < 0:
         raise ValueError("distance power must be nonnegative")
-    if q is not None:
-        if q < 2:
-            raise ValueError("modulus must be >= 2")
-        cap = q // 2
-        if s > n * cap**p:
-            return False
+    cap = _cap(q)
+    if cap is not None and s > norm_power((cap,) * n, p):
+        return False  # farther than the corner of the capped box
+    if p in (1, INF):
+        return True  # one coordinate, or a greedy fill of the cap, reaches s
+    if cap is not None:
         return sums_of_powers_reachable(p, n, _reach_limit(s), cap)[s] == 1
     if p == 2:
         if n == 1:
@@ -111,7 +139,7 @@ def is_achievable(p, n, s, q=None):
 class AchievabilityTable:
     """All achievable distance powers up to a limit, for one (p, n, q)."""
 
-    p: int
+    p: object
     n: int
     limit: int
     q: object
@@ -122,7 +150,7 @@ class AchievabilityTable:
 
     def to_json(self):
         return {
-            "p": self.p,
+            "p": "inf" if self.p == INF else self.p,
             "n": self.n,
             "limit": self.limit,
             "q": self.q,
@@ -131,10 +159,15 @@ class AchievabilityTable:
 
 
 def enumerate_achievable(p, n, limit, q=None):
-    """AchievabilityTable of every achievable s <= limit (DP route)."""
-    cap = q // 2 if q is not None else None
-    if q is not None and q < 2:
-        raise ValueError("modulus must be >= 2")
-    reach = sums_of_powers_reachable(p, n, limit, cap)
-    vals = tuple(s for s in range(limit + 1) if reach[s])
-    return AchievabilityTable(p, n, limit, q, vals)
+    """AchievabilityTable of every achievable s <= limit.
+
+    p = 1 and p = inf list every s up to the corner of the capped box;
+    every other p reads the DP table.
+    """
+    cap = _cap(q)
+    if p in (1, INF):
+        vals = range((limit if cap is None else min(limit, norm_power((cap,) * n, p))) + 1)
+    else:
+        reach = sums_of_powers_reachable(p, n, limit, cap)
+        vals = (s for s in range(limit + 1) if reach[s])
+    return AchievabilityTable(p, n, limit, q, tuple(vals))

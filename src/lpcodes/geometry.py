@@ -25,6 +25,8 @@ MAX_BALL_POINTS = 10**6
 __all__ = [
     "INF",
     "MAX_BALL_POINTS",
+    "check_exponent",
+    "norm_power",
     "RadiusToken",
     "DiscreteBall",
     "DifferenceSet",
@@ -42,7 +44,8 @@ __all__ = [
 ]
 
 
-def _check_exponent(p):
+def check_exponent(p):
+    """p itself if it names a metric (an integer >= 1 or inf), else ValueError."""
     if p == INF:
         return INF
     if isinstance(p, bool) or not isinstance(p, int) or p < 1:
@@ -54,6 +57,13 @@ def _check_point(x):
     if not all(isinstance(c, int) for c in x):
         raise ValueError(f"lattice point must have integer coordinates: {x!r}")
     return tuple(x)
+
+
+def norm_power(v, p):
+    """|v|_p^p for finite p, |v|_inf = max |v_i| for p = inf: a token's power value."""
+    if p == INF:
+        return max(map(abs, v), default=0)
+    return sum(abs(c) ** p for c in v)
 
 
 @dataclass(frozen=True)
@@ -72,7 +82,7 @@ class RadiusToken:
     power_value: int
 
     def __post_init__(self):
-        _check_exponent(self.p)
+        check_exponent(self.p)
         if not isinstance(self.power_value, int) or self.power_value < 0:
             raise ValueError(f"power value must be a nonnegative integer, got {self.power_value!r}")
 
@@ -84,22 +94,24 @@ class RadiusToken:
         return cls(p, r if p == INF else r**p)
 
     @property
-    def is_infinite(self):
-        return self.p == INF
-
-    @property
     def radius(self):
         """Float view of the radius (for display only, never membership)."""
         if self.p == INF:
             return float(self.power_value)
         return self.power_value ** (1.0 / self.p)
 
+    def floor_radius(self):
+        """The integer part of the radius, exactly."""
+        return self.power_value if self.p == INF else iroot(self.power_value, self.p)
+
     def integer_radius(self):
         """The radius as an int if it is one, else None."""
-        if self.p == INF:
-            return self.power_value
-        r = iroot(self.power_value, self.p)
-        return r if r**self.p == self.power_value else None
+        r = self.floor_radius()
+        return r if RadiusToken.from_radius(self.p, r) == self else None
+
+    def doubled(self):
+        """The token of twice the radius."""
+        return RadiusToken(self.p, self.power_value * (2 if self.p == INF else 2**self.p))
 
     def json_p(self):
         return "inf" if self.p == INF else self.p
@@ -107,13 +119,13 @@ class RadiusToken:
 
 def lp_distance(x, y, p):
     """l_p distance between integer points, as a RadiusToken (finite p)."""
-    p = _check_exponent(p)
+    p = check_exponent(p)
     if p == INF:
         raise ValueError("use linf_distance for the sup metric")
     x, y = _check_point(x), _check_point(y)
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    return RadiusToken(p, sum(abs(a - b) ** p for a, b in zip(x, y)))
+    return RadiusToken(p, norm_power([a - b for a, b in zip(x, y)], p))
 
 
 def linf_distance(x, y):
@@ -121,7 +133,7 @@ def linf_distance(x, y):
     x, y = _check_point(x), _check_point(y)
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    return max(abs(a - b) for a, b in zip(x, y)) if x else 0
+    return norm_power([a - b for a, b in zip(x, y)], INF)
 
 
 def lee_distance(a, b, q):
@@ -135,15 +147,12 @@ def lee_distance(a, b, q):
 
 
 def plee_distance(x, y, q, p):
-    """p-Lee distance on Z_q^n: token for finite p, integer for p = inf."""
-    p = _check_exponent(p)
+    """p-Lee distance on Z_q^n, as a RadiusToken."""
+    p = check_exponent(p)
     x, y = _check_point(x), _check_point(y)
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    lees = [lee_distance(a, b, q) for a, b in zip(x, y)]
-    if p == INF:
-        return max(lees) if lees else 0
-    return RadiusToken(p, sum(v**p for v in lees))
+    return RadiusToken(p, norm_power([lee_distance(a, b, q) for a, b in zip(x, y)], p))
 
 
 def induced_distance_oracle(x, y, q, p, shift_bound=1):
@@ -155,7 +164,7 @@ def induced_distance_oracle(x, y, q, p, shift_bound=1):
     scan runs over delta in [-2*shift_bound, 2*shift_bound] coordinate by
     coordinate; the value is exactly the doubly-quantified minimum.
     """
-    p = _check_exponent(p)
+    p = check_exponent(p)
     x, y = _check_point(x), _check_point(y)
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
@@ -163,9 +172,7 @@ def induced_distance_oracle(x, y, q, p, shift_bound=1):
         raise ValueError("need q >= 2 and shift_bound >= 1")
     deltas = range(-2 * shift_bound, 2 * shift_bound + 1)
     per_coord = [min(abs(a - b + q * d) for d in deltas) for a, b in zip(x, y)]
-    if p == INF:
-        return RadiusToken(INF, max(per_coord) if per_coord else 0)
-    return RadiusToken(p, sum(v**p for v in per_coord))
+    return RadiusToken(p, norm_power(per_coord, p))
 
 
 @dataclass(frozen=True)
@@ -188,10 +195,7 @@ class DiscreteBall:
         x = _check_point(x)
         if len(x) != self.dimension:
             return False
-        t = self.radius
-        if t.p == INF:
-            return all(abs(c) <= t.power_value for c in x)
-        return sum(abs(c) ** t.p for c in x) <= t.power_value
+        return norm_power(x, self.radius.p) <= self.radius.power_value
 
     def to_json(self):
         return {
@@ -297,8 +301,7 @@ def difference_set(ball):
     the radius, which contains B - B, has more than MAX_BALL_POINTS points.
     """
     n, token = ball.dimension, ball.radius
-    doubled = RadiusToken(token.p, token.power_value * (2 if token.p == INF else 2**token.p))
-    bound = ball_cardinality(n, doubled)
+    bound = ball_cardinality(n, token.doubled())
     if bound > MAX_BALL_POINTS:
         raise ValueError(
             f"B - B of the ball n={n}, p={token.json_p()}, s={token.power_value} may have up to "

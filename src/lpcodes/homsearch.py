@@ -56,7 +56,7 @@ from math import gcd, prod
 from operator import mul
 
 from . import distance_sets, lattices
-from .geometry import INF, RadiusToken, difference_set, enumerate_ball
+from .geometry import RadiusToken, difference_set, enumerate_ball
 from .intmath import divisors, xgcd
 from .lattices import IntegerLattice
 
@@ -94,10 +94,6 @@ class AbelianGroupSpec:
             prod *= d
         if prod != self.order:
             raise ValueError(f"factors {self.factors} do not multiply to {self.order}")
-
-    @property
-    def is_cyclic(self):
-        return len(self.factors) <= 1
 
     @property
     def identity(self):
@@ -208,12 +204,10 @@ class _Quotient:
     def __init__(self, rows, radix, level, least):
         j = len(rows)
         self.radix = radix
-        factors, V = lattices._smith([row + (0,) * (j - len(row)) for row in rows])
-        keep = [c for c, e in enumerate(factors) if e > 1]
-        self.factors = [factors[c] for c in keep]
+        square = [row + (0,) * (j - len(row)) for row in rows]
+        self.factors, self.images = lattices.quotient_map(square)
         self.order = prod(self.factors)
-        self.images = [[row[c] % factors[c] for c in keep] for row in V]
-        self.strides = [prod(self.factors[:c]) for c in range(len(keep))]
+        self.strides = [prod(self.factors[:c]) for c in range(len(self.factors))]
         tops, columns = level
         start = bisect_left(tops, least)
         columns = [col[start:] for col in columns]
@@ -227,7 +221,7 @@ class _Quotient:
         self.reach = [0] * self.order
         for key, top in zip(keys, tops[start:]):
             self.reach[key] = top
-        if len(keep) <= 1:
+        if len(self.factors) <= 1:
             self.gens = [img[0] if img else 0 for img in self.images] or [0]
             self.outer = list(zip(radix[1:], self.gens[1:]))
             self.scan = self._scan_cyclic
@@ -445,7 +439,7 @@ def kernel_homomorphism(kernel):
     if m > 1 and kernel.basis[0][0] == m:
         images = ((1,),) + tuple(((-row[0]) % m,) for row in kernel.basis[1:])
         return GroupHomomorphism(AbelianGroupSpec(m, (m,)), images)
-    factors, images = lattices.quotient_map(kernel)
+    factors, images = lattices.quotient_map(kernel.basis)
     return GroupHomomorphism(AbelianGroupSpec(m, factors), images)
 
 
@@ -461,11 +455,15 @@ class TokenOutcome:
     token: RadiusToken
     status: str  # found | exhausted | inconclusive | skipped
     ball_size: int
-    groups_tried: tuple
     homomorphism: object
     kernel: object
     candidates_examined: int
     certificate: object = None
+
+    @property
+    def groups_tried(self):
+        """The found quotient's invariant factors, as a one-entry tuple; () otherwise."""
+        return (self.homomorphism.group.factors,) if self.homomorphism else ()
 
     def to_json(self):
         return {
@@ -488,13 +486,10 @@ def search_homomorphisms(n, token, budget=DEFAULT_BUDGET):
     Unachievable tokens are skipped outright: the packing radius of any
     code lies in the distance set, so nothing can be r-perfect there.
     The Hermite walk is deterministic, so exhausted counts are
-    reproducible.  groups_tried holds the found quotient's invariant
-    factors, and is empty otherwise.
+    reproducible.
     """
-    p = token.p
-    s = token.power_value
-    if p != INF and not distance_sets.is_achievable(p, n, s):
-        return TokenOutcome(n, token, "skipped", 0, (), None, None, 0)
+    if not distance_sets.is_achievable(token.p, n, token.power_value):
+        return TokenOutcome(n, token, "skipped", 0, None, None, 0)
     ball = enumerate_ball(n, token)
     m = ball.cardinality
     slices = _slices(difference_set(ball).points, n)
@@ -502,11 +497,10 @@ def search_homomorphisms(n, token, budget=DEFAULT_BUDGET):
     try:
         kernel = _find_kernel(n, m, slices, budget, counter)
     except _BudgetExceeded:
-        return TokenOutcome(n, token, "inconclusive", m, (), None, None, counter[0])
+        return TokenOutcome(n, token, "inconclusive", m, None, None, counter[0])
     if kernel is None:
-        return TokenOutcome(n, token, "exhausted", m, (), None, None, counter[0])
-    phi = kernel_homomorphism(kernel)
-    return TokenOutcome(n, token, "found", m, (phi.group.factors,), phi, kernel, counter[0])
+        return TokenOutcome(n, token, "exhausted", m, None, None, counter[0])
+    return TokenOutcome(n, token, "found", m, kernel_homomorphism(kernel), kernel, counter[0])
 
 
 @dataclass(frozen=True)
@@ -518,7 +512,6 @@ class ClassificationReport:
     s_max: int
     budget: int
     outcomes: tuple
-    wall_time: float = 0.0  # informational; excluded from serialization
 
     @property
     def found_tokens(self):
@@ -529,15 +522,6 @@ class ClassificationReport:
             json.dumps(o.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
             for o in self.outcomes
         )
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "p": "inf" if self.p == INF else self.p,
-            "s_max": self.s_max,
-            "budget": self.budget,
-            "outcomes": [o.to_json() for o in self.outcomes],
-        }
 
 
 def _classify_token(n, p, s, budget):
@@ -633,14 +617,7 @@ def classify(n, p, s_max, budget=DEFAULT_BUDGET, jobs=1):
     alone.  Each found homomorphism's kernel is independently re-verified
     as a perfect code, and the certificate is attached.
     """
-    if p == INF:
-        tokens = list(range(1, s_max + 1))
-    else:
-        tokens = [
-            s
-            for s in distance_sets.enumerate_achievable(p, n, s_max).achievable
-            if s >= 1
-        ]
+    tokens = [s for s in distance_sets.enumerate_achievable(p, n, s_max).achievable if s >= 1]
     outcomes = _search_tokens(n, p, tokens, budget, jobs)
     verified = []
     for out in outcomes:

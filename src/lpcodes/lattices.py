@@ -15,18 +15,17 @@ from .geometry import (
     RadiusToken,
     ball_cardinality,
     balls_overlap,
+    check_exponent,
     compare_root_sums,
+    norm_power,
 )
 from .intmath import iroot
 
 __all__ = [
     "IntegerLattice",
-    "QuotientStructure",
     "PerfectCertificate",
     "canonicalize",
     "hermite_normal_form",
-    "smith_normal_form",
-    "quotient_structure",
     "quotient_map",
     "minimum_distance",
     "packing_radius",
@@ -148,11 +147,6 @@ def canonicalize(rows, n=None):
     return IntegerLattice.from_rows(rows, n)
 
 
-def smith_normal_form(rows):
-    """Invariant factors d_1 | d_2 | ... of an integer matrix (Smith form)."""
-    return _smith(rows)[0]
-
-
 def _smith(rows):
     """(factors, V): Smith invariant factors and a unimodular column transform.
 
@@ -217,44 +211,18 @@ def _smith(rows):
     return tuple(factors), V
 
 
-@dataclass(frozen=True)
-class QuotientStructure:
-    """Invariant factors d_1 | d_2 | ... | d_n of Z^n modulo a lattice."""
-
-    factors: tuple
-
-    @property
-    def order(self):
-        out = 1
-        for d in self.factors:
-            out *= d
-        return out
-
-
-def quotient_structure(lat):
-    factors = smith_normal_form(lat.basis)
-    qs = QuotientStructure(factors)
-    assert qs.order == lat.determinant
-    return qs
-
-
-def quotient_map(lat):
-    """Isomorphism Z^n / lat -> Z_{d_1} x ... x Z_{d_k} as (factors, images).
+def quotient_map(rows):
+    """Isomorphism Z^n / L -> Z_{d_1} x ... x Z_{d_k} as (factors, images),
+    L the lattice spanned by the rows (n columns, full rank).
 
     factors are the invariant factors above 1 (d_1 | d_2 | ...), and
     images[i] is the image of e_i.  From the Smith form U B V = D of the
-    basis B: x -> x V mod D sends lat = Z^n B onto Z^n D, i.e. to 0.
+    rows B: x -> x V mod D sends L = Z^n B onto Z^n D, i.e. to 0.
     """
-    factors, V = _smith(lat.basis)
+    factors, V = _smith(rows)
     keep = [c for c, d in enumerate(factors) if d > 1]
     images = tuple(tuple(row[c] % factors[c] for c in keep) for row in V)
     return tuple(factors[c] for c in keep), images
-
-
-def _row_power(row, p):
-    if p == INF:
-        return max(abs(x) for x in row)
-    return sum(abs(x) ** p for x in row)
 
 
 def minimum_distance(lat, p):
@@ -264,16 +232,14 @@ def minimum_distance(lat, p):
     needs to exceed the sup norm bound implied by the shortest basis
     row, so the scan is exact and finite.
     """
-    if p != INF and (not isinstance(p, int) or p < 1):
-        raise ValueError("exponent must be an integer >= 1 or inf")
-    s0 = min(_row_power(r, p) for r in lat.basis)
-    hard = s0 if p == INF else iroot(s0, p)
+    p = check_exponent(p)
+    hard = RadiusToken(p, min(norm_power(r, p) for r in lat.basis)).floor_radius()
 
     def best_in_box(radius):
         best = None
         for v in lat.enumerate_in_box(radius):
             if any(v):
-                pw = _row_power(v, p)
+                pw = norm_power(v, p)
                 if best is None or pw < best:
                     best = pw
         return best
@@ -283,8 +249,7 @@ def minimum_distance(lat, p):
         radius = min(radius, hard)
         best = best_in_box(radius)
         if best is not None:
-            refine = best if p == INF else iroot(best, p)
-            refine = min(refine, hard)
+            refine = min(RadiusToken(p, best).floor_radius(), hard)
             if refine > radius:
                 best = best_in_box(refine)
             return RadiusToken(p, best)
@@ -316,8 +281,8 @@ def packing_radius(lat, p):
     table = distance_sets.enumerate_achievable(p, n, s_hi)
     box = 2 * iroot(s_hi, p)
     cand = [v for v in lat.enumerate_in_box(box) if any(v)]
-    cand.sort(key=lambda v: _row_power(v, p))
-    powers = [_row_power(v, p) for v in cand]
+    cand.sort(key=lambda v: norm_power(v, p))
+    powers = [norm_power(v, p) for v in cand]
     for s in reversed(table.achievable):
         token = RadiusToken(p, s)
         top = 2 * iroot(s, p)
@@ -392,18 +357,14 @@ def verify_perfect(lat, p, token):
     """Certify whether lattice translates of B_p^n(r) tile Z^n."""
     if token.p != p:
         raise ValueError("token exponent does not match p")
-    if p != INF and not distance_sets.is_achievable(p, lat.n, token.power_value):
+    if not distance_sets.is_achievable(p, lat.n, token.power_value):
         raise ValueError(
             f"s={token.power_value} is not an achievable distance power for (p={p}, n={lat.n})"
         )
     mu = ball_cardinality(lat.n, token)
     if lat.determinant != mu:
         return PerfectCertificate("NOT_PERFECT", "cardinality", None, lat, token)
-    if p == INF:
-        box = 2 * token.power_value
-    else:
-        box = 2 * iroot(token.power_value, p)
-    for v in lat.enumerate_in_box(box):
+    for v in lat.enumerate_in_box(2 * token.floor_radius()):
         if any(v) and balls_overlap(v, lat.n, token):
             return PerfectCertificate("NOT_PERFECT", "overlap", v, lat, token)
     return PerfectCertificate("PERFECT", None, None, lat, token)

@@ -21,7 +21,7 @@ is a single tile.
 
 from dataclasses import dataclass
 
-from .geometry import INF, enumerate_ball
+from .geometry import INF, RadiusToken, enumerate_ball
 
 __all__ = [
     "PolyominoPlacement",
@@ -171,7 +171,7 @@ def tile_region(footprint, extent, budget=10**7):
     # descending v gives the centers t - v in lexicographic order
     rises = sorted(((off - low, v) for v, off in offsets.items()), reverse=True)
 
-    region_cells = enumerate_ball(n, _sup_token(extent)).points  # lex order
+    region_cells = enumerate_ball(n, RadiusToken(INF, extent)).points  # lex order
     region_mask = 0
     for pt in region_cells:
         region_mask |= 1 << bit_index(pt)
@@ -218,9 +218,3 @@ def tile_region(footprint, extent, budget=10**7):
         free = region_mask & ~occupied
     placements = tuple(PolyominoPlacement(c, footprint) for c in chosen)
     return TileResult("completed", extent, footprint, placements, nodes)
-
-
-def _sup_token(r):
-    from .geometry import RadiusToken
-
-    return RadiusToken(INF, r)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import distance_sets, intmath, lattices
-from .geometry import INF, RadiusToken, plee_distance
+from .geometry import INF, RadiusToken, norm_power, plee_distance
 from .lattices import IntegerLattice
 
 __all__ = [
@@ -93,20 +93,14 @@ def construction_a(code):
 
 
 def code_minimum_distance(code, p):
-    """Minimum p-Lee distance between distinct codewords (token or int-token)."""
+    """Minimum p-Lee distance between distinct codewords, as a RadiusToken."""
     words = code.codewords()
     if len(words) < 2:
         raise ValueError("minimum distance needs at least two codewords")
     zero = (0,) * code.n
-    best = None
-    for w in words:
-        if w == zero:
-            continue
-        d = plee_distance(w, zero, code.q, p)
-        val = d if isinstance(d, int) else d.power_value
-        if best is None or val < best:
-            best = val
-    return RadiusToken(p, best)
+    return RadiusToken(
+        p, min(plee_distance(w, zero, code.q, p).power_value for w in words if w != zero)
+    )
 
 
 def zq_ball(q, n, token):
@@ -115,6 +109,7 @@ def zq_ball(q, n, token):
     The cardinality can differ from the Z^n ball count once 2r >= q.
     """
     p = token.p
+    costs = [norm_power((min(a, q - a),), p) for a in range(q)]
     out = []
     vec = [0] * n
 
@@ -122,16 +117,11 @@ def zq_ball(q, n, token):
         if i == n:
             out.append(tuple(vec))
             return
-        for a in range(q):
-            lee = min(a, q - a)
-            cost = lee if p == INF else lee**p
-            if p == INF:
-                if cost <= token.power_value:
-                    vec[i] = a
-                    rec(i + 1, budget)
-            elif cost <= budget:
+        for a, cost in enumerate(costs):
+            if cost <= budget:
                 vec[i] = a
-                rec(i + 1, budget - cost)
+                # the sup metric bounds each coordinate alone
+                rec(i + 1, budget if p == INF else budget - cost)
         vec[i] = 0
 
     rec(0, token.power_value)
@@ -145,11 +135,14 @@ def _balls_disjoint(code, words, token):
         if c == zero:
             continue
         for z in ball:
-            d = plee_distance(z, c, code.q, token.p)
-            val = d if isinstance(d, int) else d.power_value
-            if val <= token.power_value:
+            if plee_distance(z, c, code.q, token.p).power_value <= token.power_value:
                 return False
     return True
+
+
+def _diameter(code, p):
+    """The power value of the farthest point of Z_q^n from 0 in p-Lee distance."""
+    return norm_power((code.q // 2,) * code.n, p)
 
 
 def code_packing_radius(code, p):
@@ -157,15 +150,10 @@ def code_packing_radius(code, p):
     words = code.codewords()
     if len(words) < 2:
         raise ValueError("packing radius needs at least two codewords")
-    cap = code.q // 2
-    limit = cap if p == INF else code.n * cap**p
-    if p == INF:
-        tokens = range(limit + 1)
-    else:
-        tokens = distance_sets.enumerate_achievable(p, code.n, limit, code.q).achievable
+    table = distance_sets.enumerate_achievable(p, code.n, _diameter(code, p), code.q)
     total = code.q**code.n
     best = None
-    for s in tokens:
+    for s in table.achievable:
         token = RadiusToken(p, s)
         if len(words) * len(zq_ball(code.q, code.n, token)) > total:
             break
@@ -177,8 +165,13 @@ def code_packing_radius(code, p):
 
 
 def code_is_perfect(code, p, token):
-    """Exact cover check: every point of Z_q^n in exactly one codeword ball."""
-    if p != INF and not distance_sets.is_achievable(p, code.n, token.power_value, code.q):
+    """Exact cover check: every point of Z_q^n in exactly one codeword ball.
+
+    The power value must be achievable modulo q, or beyond the diameter of
+    Z_q^n, where the ball is all of it.
+    """
+    s = token.power_value
+    if s <= _diameter(code, p) and not distance_sets.is_achievable(p, code.n, s, code.q):
         raise ValueError(
             f"s={token.power_value} is not an achievable p-Lee power for "
             f"(p={p}, n={code.n}, q={code.q})"
@@ -216,7 +209,7 @@ class TransferCertificate:
     def to_json(self):
         return {
             "code": self.code.to_json(),
-            "p": "inf" if self.p == INF else self.p,
+            "p": self.code_radius.json_p(),
             "code_radius_s": self.code_radius.power_value,
             "condition_met": self.condition_met,
             "lattice_radius_s": None if self.lattice_radius is None else self.lattice_radius.power_value,
@@ -229,11 +222,7 @@ class TransferCertificate:
 def transfer_packing_radius(code, p):
     """Certify the 2r < q transfer from code to lattice lift."""
     r = code_packing_radius(code, p)
-    q = code.q
-    if p == INF:
-        condition = 2 * r.power_value < q
-    else:
-        condition = 2**p * r.power_value < q**p  # (2r)^p < q^p exactly
+    condition = r.doubled().power_value < RadiusToken.from_radius(p, code.q).power_value
     lat = construction_a(code)
     if not condition:
         return TransferCertificate(code, p, r, False, None, None, None, None)

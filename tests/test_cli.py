@@ -102,6 +102,17 @@ def test_distances_with_modulus():
     assert obj["achievable"] == [0, 1, 2, 4, 5, 8]
 
 
+@pytest.mark.parametrize("argv", [
+    ("distances", "--p", "3", "--n", "2", "--limit", str(10**12)),
+    ("verify", "--basis", "1,2;0,5", "--p", "3", "--s", str(10**12)),
+])
+def test_distance_table_over_the_guard_exits_1_quickly(argv):
+    proc = run(*argv, timeout=30)
+    assert proc.returncode == 1
+    assert "exceeds MAX_REACH_LIMIT = 4194304" in proc.stderr
+    assert proc.stdout == ""
+
+
 # --------------------------------------------------------------- verify
 
 def test_verify_perfect_lattice():
@@ -126,6 +137,13 @@ def test_verify_malformed_basis():
 def test_verify_unachievable_radius():
     proc = run("verify", "--basis", "1,2;0,5", "--p", "2", "--s", "3")
     assert proc.returncode == 1
+
+
+def test_verify_large_lee_radius_needs_no_distance_table():
+    # s = 10^6 is decided in closed form; the table would take minutes
+    proc = run("verify", "--basis", "1,2;0,5", "--p", "1", "--s", str(10**6), timeout=60)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["failed_condition"] == "cardinality"
 
 
 # ----------------------------------------------------------------- code

@@ -1,8 +1,12 @@
 """Achievable-distance sets: sums of p-th powers, with and without modulus."""
 
+import itertools
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lpcodes import distance_sets
 from lpcodes.distance_sets import (
     enumerate_achievable,
     is_achievable,
@@ -10,6 +14,7 @@ from lpcodes.distance_sets import (
     is_sum_of_two_squares,
     sums_of_powers_reachable,
 )
+from lpcodes.geometry import INF
 
 
 def brute_achievable(p, n, s, cap=None):
@@ -122,6 +127,44 @@ def test_reachable_table_edge_limits():
         sums_of_powers_reachable(2, 2, -1)
 
 
+def test_reachable_table_guard_boundary(monkeypatch):
+    monkeypatch.setattr(distance_sets, "MAX_REACH_LIMIT", 777)
+    assert len(sums_of_powers_reachable(5, 3, 777)) == 778
+    with pytest.raises(ValueError, match=r"up to 778 exceeds MAX_REACH_LIMIT = 777$"):
+        sums_of_powers_reachable(5, 3, 778)
+    with pytest.raises(ValueError, match="MAX_REACH_LIMIT = 777"):
+        enumerate_achievable(5, 3, 778)
+    with pytest.raises(ValueError, match="up to 1024 exceeds"):
+        is_achievable(5, 3, 2)  # pointwise queries round the table up to 1024
+
+
+def test_reachable_table_guard_allocates_nothing(monkeypatch):
+    # the refused table would be a 10^7-bit integer (1.25 MB) and 10^7 bytes
+    monkeypatch.setattr(distance_sets, "MAX_REACH_LIMIT", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_REACH_LIMIT"):
+            sums_of_powers_reachable(3, 2, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", [None, 2, 3, 5, 8])
+def test_lee_closed_form_matches_the_table(n, q):
+    table = sums_of_powers_reachable(1, n, 300, None if q is None else q // 2)
+    assert [is_achievable(1, n, s, q) for s in range(301)] == [bool(b) for b in table]
+    assert enumerate_achievable(1, n, 300, q).achievable == tuple(s for s in range(301) if table[s])
+
+
+def test_lee_closed_form_needs_no_table():
+    # the table route takes minutes over 2^20 sums for the first
+    assert is_achievable(1, 2, 10**6)
+    assert is_achievable(1, 3, 1500, q=1001) and not is_achievable(1, 3, 1501, q=1001)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lee_distances_all_achievable(n):
     # p = 1: s itself is one coordinate, past every table size the DP rounds to
@@ -134,6 +177,34 @@ def test_lee_distances_mod_q_up_to_diameter(n, q):
     # with modulus q exactly the sums up to n * floor(q/2) remain
     top = n * (q // 2)
     assert [s for s in range(top + 20) if is_achievable(1, n, s, q=q)] == list(range(top + 1))
+
+
+# ------------------------------------------------------------ sup metric
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("q", [None, 2, 3, 7, 10])
+def test_sup_metric_radii_against_brute_force(n, q):
+    # a point's sup radius is its largest |coordinate|, or largest Lee coordinate mod q
+    limit = 6
+    if q is None:
+        radii = {max(map(abs, x)) for x in itertools.product(range(-limit, limit + 1), repeat=n)}
+    else:
+        radii = {max(min(c, q - c) for c in x) for x in itertools.product(range(q), repeat=n)}
+    assert [s for s in range(limit + 1) if is_achievable(INF, n, s, q)] == sorted(
+        s for s in radii if s <= limit)
+    assert enumerate_achievable(INF, n, limit, q).achievable == tuple(
+        sorted(s for s in radii if s <= limit))
+    if q is not None:
+        assert not any(is_achievable(INF, n, s, q) for s in range(q // 2 + 1, q + 5))
+    else:
+        assert is_achievable(INF, n, 10**30)
+
+
+def test_sup_metric_table_json():
+    table = enumerate_achievable(INF, 2, 3, q=5)
+    assert table.achievable == (0, 1, 2)
+    assert table.to_json() == {"p": "inf", "n": 2, "limit": 3, "q": 5, "achievable": [0, 1, 2]}
+    assert enumerate_achievable(2, 2, 2).to_json()["p"] == 2
 
 
 # ------------------------------------------------------------- modulus q

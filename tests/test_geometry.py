@@ -20,6 +20,7 @@ from lpcodes.geometry import (
     lee_distance,
     linf_distance,
     lp_distance,
+    norm_power,
     plee_distance,
     superball_volume,
 )
@@ -39,6 +40,21 @@ def test_token_integer_radius():
     assert RadiusToken(INF, 5).integer_radius() == 5
     assert RadiusToken(3, 27).integer_radius() == 3
     assert RadiusToken(2, 0).integer_radius() == 0
+
+
+def test_token_floor_radius_and_doubled():
+    assert [RadiusToken(2, s).floor_radius() for s in (0, 3, 4, 8, 9)] == [0, 1, 2, 2, 3]
+    assert RadiusToken(3, 26).floor_radius() == 2
+    assert RadiusToken(INF, 5).floor_radius() == 5
+    assert RadiusToken(3, 2).doubled() == RadiusToken(3, 16)
+    assert RadiusToken(INF, 4).doubled() == RadiusToken(INF, 8)
+
+
+def test_norm_power():
+    assert norm_power((3, -4), 2) == 25
+    assert norm_power((3, -4), 1) == 7
+    assert norm_power((3, -4), INF) == 4
+    assert norm_power((), 2) == norm_power((), INF) == 0
 
 
 def test_token_json_exponent():
@@ -89,7 +105,7 @@ def test_lee_distance_range_checks():
 
 def test_plee_distance_values():
     assert plee_distance((0, 0), (12, 12), 13, 2) == RadiusToken(2, 2)
-    assert plee_distance((0, 0), (7, 5), 49, INF) == 7
+    assert plee_distance((0, 0), (7, 5), 49, INF) == RadiusToken(INF, 7)
     assert plee_distance((3, 4, 5), (3, 4, 5), 7, 2) == RadiusToken(2, 0)
 
 
@@ -102,7 +118,7 @@ def test_induced_oracle_values():
 @given(
     q=st.integers(2, 25),
     n=st.integers(1, 3),
-    p=st.sampled_from([1, 2, 3]),
+    p=st.sampled_from([1, 2, 3, INF]),
     data=st.data(),
 )
 @settings(max_examples=300, deadline=None)

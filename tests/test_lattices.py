@@ -12,9 +12,8 @@ from lpcodes.lattices import (
     hermite_normal_form,
     minimum_distance,
     packing_radius,
-    quotient_structure,
+    quotient_map,
     radius_bracket,
-    smith_normal_form,
     verify_perfect,
 )
 
@@ -111,18 +110,23 @@ def test_lattice_json_roundtrip():
 # -------------------------------------------------------------- quotients
 
 def test_quotient_structures():
-    assert quotient_structure(canonicalize([(3, 0), (0, 3)])).factors == (3, 3)
-    assert quotient_structure(canonicalize(KERNEL_S1)).factors == (1, 5)
+    # quotient_map keeps the invariant factors above 1
+    assert quotient_map(canonicalize([(3, 0), (0, 3)]).basis)[0] == (3, 3)
+    assert quotient_map(canonicalize(KERNEL_S1).basis)[0] == (5,)
     beta = canonicalize(KERNEL_3D_S3)
     assert beta.determinant == 27
-    assert quotient_structure(beta).factors == (1, 1, 27)
+    assert quotient_map(beta.basis)[0] == (27,)
 
 
 def test_quotient_divisibility_chain():
     rng = random.Random(11)
     for _ in range(40):
         lat = random_full_rank(rng, rng.randint(1, 4))
-        factors = quotient_structure(lat).factors
+        factors, images = quotient_map(lat.basis)
+        assert all(f > 1 for f in factors) and len(images) == lat.n
+        for row in lat.basis:  # the map sends the lattice to 0
+            assert all(sum(x * img[c] for x, img in zip(row, images)) % f == 0
+                       for c, f in enumerate(factors))
         order = 1
         for a, b in zip(factors, factors[1:]):
             assert b % a == 0
@@ -132,8 +136,8 @@ def test_quotient_divisibility_chain():
 
 
 def test_smith_form_direct():
-    assert smith_normal_form(((2, 0), (0, 4))) == (2, 4)
-    assert smith_normal_form(((2, 1), (1, 2))) == (1, 3)
+    assert quotient_map(((2, 0), (0, 4)))[0] == (2, 4)
+    assert quotient_map(((2, 1), (1, 2)))[0] == (3,)
 
 
 # ------------------------------------------------------- box enumeration

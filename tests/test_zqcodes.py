@@ -1,5 +1,6 @@
 """Linear codes over Z_q: balls, packing radii, perfection, lifting."""
 
+import itertools
 import random
 
 import pytest
@@ -82,8 +83,7 @@ def test_zq_ball_agrees_with_distance_predicate():
 
         for x in itertools.product(range(q), repeat=n):
             d = plee_distance(x, (0,) * n, q, token.p)
-            inside = (d <= token.power_value) if token.p == INF else (d.power_value <= token.power_value)
-            assert (x in ball) == inside, (q, n, token, x)
+            assert (x in ball) == (d.power_value <= token.power_value), (q, n, token, x)
 
 
 # ----------------------------------------------- distances, packing radii
@@ -102,6 +102,31 @@ def test_packing_radii():
     assert code_packing_radius(REP2_7, 1) == RadiusToken(1, 3)
     assert code_packing_radius(C1_44, 2) == RadiusToken(2, 0)
     assert code_packing_radius(C2_44, 2) == RadiusToken(2, 1)
+
+
+def brute_sup_packing_radius(code):
+    """Largest r <= q // 2 whose sup-metric balls around the codewords are
+    pairwise disjoint, by counting the codewords within r of every point."""
+    q, n = code.q, code.n
+    points = list(itertools.product(range(q), repeat=n))
+    words = code.codewords()
+
+    def disjoint(r):
+        return all(sum(plee_distance(z, c, q, INF).power_value <= r for c in words) <= 1
+                   for z in points)
+
+    r = 0
+    while r < q // 2 and disjoint(r + 1):
+        r += 1
+    return RadiusToken(INF, r)
+
+
+def test_packing_radius_sup_metric_against_brute_force():
+    for q in range(2, 8):
+        for n in (1, 2):
+            for code in all_linear_codes(q, n):
+                if code.cardinality >= 2:
+                    assert code_packing_radius(code, INF) == brute_sup_packing_radius(code), code
 
 
 def test_packing_radius_of_full_code_is_zero():
