@@ -27,6 +27,6 @@ for r in (1, 2, 3, 4, 5):
 print("\nTiling runs:")
 done = tile_region(enumerate_ball(2, RadiusToken(2, 4)), 10)
 print(f"  r=2 on [-10,10]^2: {done.status},"
-      f" {len(done.placements)} tiles, {done.nodes} nodes")
+      f" {len(done.centers)} tiles, {done.nodes} nodes")
 failed = tile_region(enumerate_ball(2, RadiusToken(2, 9)), 12)
 print(f"  r=3 on [-12,12]^2: {failed.status} after {failed.nodes} nodes")

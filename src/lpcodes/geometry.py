@@ -31,7 +31,6 @@ __all__ = [
     "DiscreteBall",
     "DifferenceSet",
     "lp_distance",
-    "linf_distance",
     "lee_distance",
     "plee_distance",
     "induced_distance_oracle",
@@ -118,22 +117,12 @@ class RadiusToken:
 
 
 def lp_distance(x, y, p):
-    """l_p distance between integer points, as a RadiusToken (finite p)."""
+    """l_p distance between integer points, as a RadiusToken (p = inf too)."""
     p = check_exponent(p)
-    if p == INF:
-        raise ValueError("use linf_distance for the sup metric")
     x, y = _check_point(x), _check_point(y)
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
     return RadiusToken(p, norm_power([a - b for a, b in zip(x, y)], p))
-
-
-def linf_distance(x, y):
-    """Sup-metric distance between integer points (an integer)."""
-    x, y = _check_point(x), _check_point(y)
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
-    return norm_power([a - b for a, b in zip(x, y)], INF)
 
 
 def lee_distance(a, b, q):
@@ -281,12 +270,19 @@ def _count(n, budget, p):
 
 
 def ball_cardinality(n, token):
-    """|B_p^n(r)| by direct counting (no point materialization)."""
+    """|B_p^n(r)| without listing points: a cube for p = inf, and for the
+    Lee ball (p = 1) the sum over the k nonzero coordinates of
+    2^k C(n, k) C(s, k) (their signs, their positions, and the ways to
+    split at most s into k positive parts); other p count recursively.
+    """
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    s = token.power_value
     if token.p == INF:
-        return (2 * token.power_value + 1) ** n
-    return _count(n, token.power_value, token.p)
+        return (2 * s + 1) ** n
+    if token.p == 1:
+        return sum(2**k * math.comb(n, k) * math.comb(s, k) for k in range(n + 1))
+    return _count(n, s, token.p)
 
 
 def difference_set(ball):

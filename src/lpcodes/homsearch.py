@@ -57,7 +57,7 @@ from operator import mul
 
 from . import distance_sets, lattices
 from .geometry import RadiusToken, difference_set, enumerate_ball
-from .intmath import divisors, xgcd
+from .intmath import divisors
 from .lattices import IntegerLattice
 
 __all__ = [
@@ -311,25 +311,15 @@ def _has_earlier_image(rows):
     """Whether a signed permutation of the rows' coordinates maps their lattice
     to one whose Hermite basis comes earlier in walk order.
 
-    Two rows (d0), (h, d1) have three images besides themselves, modulo -I:
-    the flip of coordinate 1, (d0), (-h, d1), and the swap and the swap of
-    the flip, (D0), (+-b, g) with g = gcd(d0, h) = u d0 + v h, D0 = d0 d1 / g
-    and b = v d1.  With more rows, all images that send coordinate c to
-    coordinate 0 share their d_0, the least multiple of e_c in the lattice:
-    d_c times the order of row c's prefix modulo the rows above.  One such
-    d_0 above the lattice's own decides at once, and a group with a smaller
-    one is ruled out.  The groups that tie are compared in closed form when
-    the prefix is cyclic (d_1 = ... = 1) and by Hermite forms otherwise.
+    All images that send coordinate c to coordinate 0 share their d_0, the
+    least multiple of e_c in the lattice: d_c times the order of row c's
+    prefix modulo the rows above.  One such d_0 above the lattice's own
+    decides at once, and a group with a smaller one is ruled out.  The
+    groups that tie are compared in closed form when the prefix is cyclic
+    (d_1 = ... = 1) and by Hermite forms otherwise.  The rule is the same
+    for every number of rows, two included.
     """
     j = len(rows)
-    if j == 2:
-        (d0,), (h, d1) = rows
-        if -h % d0 > h:
-            return True
-        g, _, v = xgcd(d0, h)
-        D0 = d0 * d1 // g
-        b = v * d1 % D0
-        return (D0, g, max(b, -b % D0)) > (d0, d1, h)
     d0 = rows[0][0]
     firsts = [rows[c][c] * _prefix_order(rows, c) for c in range(j)]
     if max(firsts) > d0:

@@ -31,18 +31,6 @@ def iroot(x, p):
     return lo
 
 
-def xgcd(a, b):
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def factorize(n):
     """Prime factorization by trial division, as a {prime: exponent} dict."""
     if n < 1:

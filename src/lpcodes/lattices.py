@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from . import distance_sets
 from .geometry import (
-    INF,
     RadiusToken,
     ball_cardinality,
     balls_overlap,
@@ -19,7 +18,6 @@ from .geometry import (
     compare_root_sums,
     norm_power,
 )
-from .intmath import iroot
 
 __all__ = [
     "IntegerLattice",
@@ -258,68 +256,55 @@ def minimum_distance(lat, p):
         radius *= 2
 
 
+def _overlap_witness(lat, token):
+    """The first nonzero lattice vector in B(r) - B(r) in box order, or None."""
+    for v in lat.enumerate_in_box(2 * token.floor_radius()):
+        if any(v) and balls_overlap(v, lat.n, token):
+            return v
+    return None
+
+
 def packing_radius(lat, p):
     """Largest achievable token r with all lattice-translated balls disjoint.
 
-    Disjointness of B(0, r) and B(v, r) is tested exactly per lattice
-    vector; the candidate window comes from the bracket
-    floor((d-1)/2) <= r < d/2 + n**(1/p)/2, used only to bound the scan.
+    The balls are disjoint exactly when no nonzero lattice vector lies in
+    B(r) - B(r), which only grows with r.  The bracket
+    floor((d-1)/2) <= r < d/2 + |1|_p/2, with |1|_p = n**(1/p) (1 for the
+    sup metric), holds for every p, and every token from its upper end on
+    overlaps.  So the scan runs upward over the achievable tokens from the
+    lower end and stops at the first that overlaps, which lies below D/2
+    with D = floor(d) + floor(|1|_p) + 2.  Both ends are integer radii and
+    every comparison is between power values.
     """
     n = lat.n
-    d = minimum_distance(lat, p)
-    if p == INF:
-        hi = (d.power_value + 1) // 2 + 1
-        cand = [v for v in lat.enumerate_in_box(2 * hi) if any(v)]
-        for r in range(hi, -1, -1):
-            if not any(max(abs(c) for c in v) <= 2 * r for v in cand):
-                result = RadiusToken(INF, r)
-                assert (d.power_value - 1) // 2 <= result.power_value
-                return result
-        raise AssertionError("sup-metric radius scan exhausted")
-    upper = d.radius / 2 + n ** (1.0 / p) / 2
-    s_hi = int(upper**p) + 2
-    table = distance_sets.enumerate_achievable(p, n, s_hi)
-    box = 2 * iroot(s_hi, p)
-    cand = [v for v in lat.enumerate_in_box(box) if any(v)]
-    cand.sort(key=lambda v: norm_power(v, p))
-    powers = [norm_power(v, p) for v in cand]
-    for s in reversed(table.achievable):
-        token = RadiusToken(p, s)
-        top = 2 * iroot(s, p)
-        hit = False
-        for v, pw in zip(cand, powers):
-            if pw <= s:
-                hit = True
-                break
-            if pw > n * top**p:
-                break
-            if balls_overlap(v, n, token):
-                hit = True
-                break
-        if not hit:
-            lower = (iroot(d.power_value, p) - 1) // 2
-            assert lower**p <= s
-            return token
-    raise AssertionError("token scan exhausted without finding a packing radius")
+    d = minimum_distance(lat, p).floor_radius()
+    ones = RadiusToken(p, norm_power((1,) * n, p)).floor_radius()
+    end = RadiusToken.from_radius(p, d + ones + 2)
+    best = RadiusToken.from_radius(p, (d - 1) // 2)
+    assert _overlap_witness(lat, best) is None, "the bracket's lower end overlaps"
+    s = best.power_value + 1
+    while RadiusToken(p, s).doubled().power_value < end.power_value:
+        if distance_sets.is_achievable(p, n, s):
+            token = RadiusToken(p, s)
+            if _overlap_witness(lat, token) is not None:
+                return best
+            best = token
+        s += 1
+    raise AssertionError("no overlapping token below the bracket's upper end")
 
 
 def radius_bracket(lat, p):
-    """Exact check of floor((d-1)/2) <= r < d/2 + n**(1/p)/2.
+    """Exact check of floor((d-1)/2) <= r < d/2 + |1|_p/2, |1|_p = n**(1/p).
 
     Returns (lower_ok, upper_ok, d_token, r_token) with both comparisons
-    decided in integer/radical arithmetic, never floats.
+    decided exactly, in integer and radical arithmetic, for every p.
     """
     d = minimum_distance(lat, p)
     r = packing_radius(lat, p)
-    if p == INF:
-        lower = (d.power_value - 1) // 2
-        lower_ok = lower <= r.power_value
-        upper_ok = 2 * r.power_value < d.power_value + 1
-        return lower_ok, upper_ok, d, r
-    lower = (iroot(d.power_value, p) - 1) // 2
-    lower_ok = lower**p <= r.power_value
-    # 2 * r < d + n^(1/p), all as p-th roots
-    upper_ok = compare_root_sums(p, [(2, r.power_value)], [(1, d.power_value), (1, lat.n)]) < 0
+    lower_ok = RadiusToken.from_radius(p, (d.floor_radius() - 1) // 2).power_value <= r.power_value
+    # 2 * r < d + |1|_p, all as p-th roots
+    ones = norm_power((1,) * lat.n, p)
+    upper_ok = compare_root_sums(p, [(2, r.power_value)], [(1, d.power_value), (1, ones)]) < 0
     return lower_ok, upper_ok, d, r
 
 
@@ -364,7 +349,7 @@ def verify_perfect(lat, p, token):
     mu = ball_cardinality(lat.n, token)
     if lat.determinant != mu:
         return PerfectCertificate("NOT_PERFECT", "cardinality", None, lat, token)
-    for v in lat.enumerate_in_box(2 * token.floor_radius()):
-        if any(v) and balls_overlap(v, lat.n, token):
-            return PerfectCertificate("NOT_PERFECT", "overlap", v, lat, token)
+    v = _overlap_witness(lat, token)
+    if v is not None:
+        return PerfectCertificate("NOT_PERFECT", "overlap", v, lat, token)
     return PerfectCertificate("PERFECT", None, None, lat, token)

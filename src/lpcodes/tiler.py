@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .geometry import INF, RadiusToken, enumerate_ball
 
 __all__ = [
-    "PolyominoPlacement",
     "TileResult",
     "classify_point",
     "excludes_plane_tiling",
@@ -58,12 +57,6 @@ def classify_point(footprint, x):
     return "ordinary"
 
 
-def _power(base, p):
-    if isinstance(p, int):
-        return base**p
-    return float(base) ** p
-
-
 def excludes_plane_tiling(r, p):
     """True when no tiling of R^2 by the radius-r polyomino can exist.
 
@@ -75,7 +68,7 @@ def excludes_plane_tiling(r, p):
     if not p > 1:
         raise ValueError("exponent must exceed 1")
     r = int(r)
-    return r > 2 and _power(r - 1, p) + _power(2, p) <= _power(r, p)
+    return r > 2 and (r - 1) ** p + 2**p <= r**p
 
 
 def excludes_space_tiling(n, r, p):
@@ -85,25 +78,14 @@ def excludes_space_tiling(n, r, p):
     if r < 1 or int(r) != r:
         raise ValueError("radius must be a positive integer")
     r = int(r)
-    return r > 2 and (n - 1) * _power(r - 1, p) + _power(r - 2, p) <= _power(r, p)
-
-
-@dataclass(frozen=True)
-class PolyominoPlacement:
-    """One translated copy of the shared footprint."""
-
-    center: tuple
-    footprint: object
-
-    def cells(self):
-        return [tuple(c + d for c, d in zip(self.center, v)) for v in self.footprint.points]
+    return r > 2 and (n - 1) * (r - 1) ** p + (r - 2) ** p <= r**p
 
 
 @dataclass(frozen=True)
 class TileResult:
     """Outcome of the bounded-region search.
 
-    completed carries the placements; impossible carries only the node
+    completed carries the tile centers; impossible carries only the node
     count, which together with the deterministic traversal order is the
     reproducible certificate; inconclusive means the budget ran out.
     """
@@ -111,7 +93,7 @@ class TileResult:
     status: str  # completed | impossible | inconclusive
     extent: int
     footprint: object
-    placements: tuple
+    centers: tuple
     nodes: int
 
     def to_json(self):
@@ -121,9 +103,7 @@ class TileResult:
             "n": self.footprint.dimension,
             "p": self.footprint.radius.json_p(),
             "s": self.footprint.radius.power_value,
-            "centers": [list(p.center) for p in self.placements]
-            if self.status == "completed"
-            else None,
+            "centers": [list(c) for c in self.centers] if self.status == "completed" else None,
             "nodes": self.nodes,
         }
 
@@ -216,5 +196,4 @@ def tile_region(footprint, extent, budget=10**7):
         chosen.append(c)
         occupied |= shape << shift
         free = region_mask & ~occupied
-    placements = tuple(PolyominoPlacement(c, footprint) for c in chosen)
-    return TileResult("completed", extent, footprint, placements, nodes)
+    return TileResult("completed", extent, footprint, tuple(chosen), nodes)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,6 @@ from lpcodes.geometry import (
     enumerate_ball,
     induced_distance_oracle,
     lee_distance,
-    linf_distance,
     lp_distance,
     norm_power,
     plee_distance,
@@ -73,19 +73,16 @@ def test_lp_distance_values():
     assert lp_distance((0, 0), (0, 0), 2) == RadiusToken(2, 0)
     assert lp_distance((0, 0), (1, 1), 2) == RadiusToken(2, 2)
     assert lp_distance((0, 0, 0), (1, 2, 3), 3) == RadiusToken(3, 36)
+    assert lp_distance((0, 0), (0, 0), INF) == RadiusToken(INF, 0)
+    assert lp_distance((0, 0), (3, -1), INF) == RadiusToken(INF, 3)
+    assert lp_distance((1, 2, 3), (4, 4, 4), INF) == RadiusToken(INF, 3)
 
 
 def test_lp_distance_rejects_mismatch():
     with pytest.raises(ValueError):
         lp_distance((0, 0), (1, 2, 3), 2)
     with pytest.raises(ValueError):
-        lp_distance((0, 0), (1, 1), INF)
-
-
-def test_linf_distance_values():
-    assert linf_distance((0, 0), (0, 0)) == 0
-    assert linf_distance((0, 0), (3, -1)) == 3
-    assert linf_distance((1, 2, 3), (4, 4, 4)) == 3
+        lp_distance((0, 0), (1, 1, 1), INF)
 
 
 def test_lee_distance_values():
@@ -157,11 +154,20 @@ def test_ball_points_lexicographic():
 
 
 def test_ball_count_matches_enumeration():
-    for n in (1, 2, 3):
-        for p in (1, 2, 3, INF):
-            for s in (0, 1, 2, 5, 9):
-                token = RadiusToken(p, s)
-                assert ball_cardinality(n, token) == enumerate_ball(n, token).cardinality
+    cases = [(n, p, s) for n in (1, 2, 3) for p in (1, 2, 3, INF) for s in (0, 1, 2, 5, 9)]
+    # the Lee closed form at more nonzero coordinates than s, and the reverse
+    cases += [(n, 1, s) for n in (4, 5) for s in (0, 1, 3, 7)] + [(1, 1, 40), (2, 1, 40), (3, 1, 20)]
+    for n, p, s in cases:
+        token = RadiusToken(p, s)
+        assert ball_cardinality(n, token) == enumerate_ball(n, token).cardinality, (n, p, s)
+
+
+def test_lee_ball_count_is_closed_form():
+    # 2s^2 + 2s + 1 and (2s + 1)(2s^2 + 2s + 3)/3 points, counted in closed form
+    start = time.perf_counter()
+    assert ball_cardinality(2, RadiusToken(1, 10**6)) == 2 * 10**12 + 2 * 10**6 + 1
+    assert ball_cardinality(3, RadiusToken(1, 3000)) == 6001 * (2 * 3000**2 + 2 * 3000 + 3) // 3
+    assert time.perf_counter() - start < 0.5
 
 
 def test_enumerate_ball_refuses_balls_over_the_size_guard(monkeypatch):

@@ -1,9 +1,8 @@
 """Integer helpers shared by the geometry and lattice layers."""
 
-import math
 import random
 
-from lpcodes.intmath import divisors, factorize, iroot, xgcd
+from lpcodes.intmath import divisors, factorize, iroot
 
 
 def test_iroot_exact_and_floor():
@@ -23,15 +22,6 @@ def test_iroot_random_against_float():
         p = rng.randint(1, 7)
         r = iroot(s, p)
         assert r**p <= s < (r + 1) ** p
-
-
-def test_xgcd_bezout():
-    rng = random.Random(2)
-    for _ in range(500):
-        a, b = rng.randint(-500, 500), rng.randint(-500, 500)
-        g, x, y = xgcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
 
 
 def test_factorize():

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from lpcodes.geometry import INF, RadiusToken, ball_cardinality, enumerate_ball
+from lpcodes.distance_sets import enumerate_achievable
+from lpcodes.geometry import INF, RadiusToken, ball_cardinality, difference_set, enumerate_ball
 from lpcodes.lattices import (
     IntegerLattice,
     canonicalize,
@@ -224,6 +225,29 @@ def test_radius_bracket_random_lattices():
         for p in (1, 2, INF):
             lower_ok, upper_ok, _, _ = radius_bracket(lat, p)
             assert lower_ok and upper_ok, (lat.basis, p)
+
+
+def reference_packing_radius(lat, p):
+    """The largest achievable s <= d whose B(s) - B(s) holds no nonzero lattice vector."""
+    d = minimum_distance(lat, p).power_value
+    best = None
+    for s in enumerate_achievable(p, lat.n, d).achievable:
+        diffs = difference_set(enumerate_ball(lat.n, RadiusToken(p, s))).points
+        if not any(any(v) and lat.contains(v) for v in diffs):
+            best = s
+    return RadiusToken(p, best)
+
+
+def test_packing_radius_matches_brute_force():
+    rng = random.Random(29)
+    lattices = [random_full_rank(rng, rng.randint(1, 3), bound=5) for _ in range(40)]
+    for _ in range(20):  # construction-A lifts: a code in Z_q^n plus q Z^n
+        n, q = rng.randint(1, 3), rng.randint(2, 7)
+        code = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        lattices.append(canonicalize(code + [tuple(q * (i == j) for j in range(n)) for i in range(n)], n))
+    for lat in lattices:
+        for p in (1, 2, 3, INF):
+            assert packing_radius(lat, p) == reference_packing_radius(lat, p), (lat.basis, p)
 
 
 def test_floor_formula_for_l1_and_sup():

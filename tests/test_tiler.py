@@ -76,15 +76,16 @@ def test_criteria_fractional_exponent():
 def test_radius2_disk_tiles_square_region():
     result = tile_region(BALL_R2, 10)
     assert result.status == "completed"
-    assert len(result.placements) == 49
+    assert len(result.centers) == 49
     assert result.nodes == 12027
 
 
 def test_radius2_completed_is_exact_cover():
     result = tile_region(BALL_R2, 10)
     counts = {}
-    for placement in result.placements:
-        for cell in placement.cells():
+    for center in result.centers:
+        for v in BALL_R2.points:
+            cell = tuple(c + d for c, d in zip(center, v))
             counts[cell] = counts.get(cell, 0) + 1
     region = {
         v for v in itertools.product(range(-10, 11), repeat=2)
@@ -98,7 +99,7 @@ def test_radius2_completed_is_exact_cover():
 def test_radius3_disk_cannot_tile():
     result = tile_region(BALL_R3, 12)
     assert result.status == "impossible"
-    assert result.placements == ()
+    assert result.centers == ()
     assert result.nodes == 8043
 
 
@@ -117,7 +118,7 @@ def test_cubic_ball_radius3_cannot_tile():
 def test_trivial_footprint_tiles():
     result = tile_region(enumerate_ball(2, RadiusToken(2, 0)), 2)
     assert result.status == "completed"
-    assert len(result.placements) == 25
+    assert len(result.centers) == 25
     assert result.nodes == 24
 
 
@@ -131,7 +132,7 @@ def test_tile_region_deterministic():
     a = tile_region(BALL_R2, 10)
     b = tile_region(BALL_R2, 10)
     assert a.to_json() == b.to_json()
-    assert [p.center for p in a.placements] == [p.center for p in b.placements]
+    assert a.centers == b.centers
 
 
 def test_result_json_shape():
@@ -150,7 +151,7 @@ def test_deep_line_search_is_not_recursion_bound():
     # default recursion limit
     result = tile_region(enumerate_ball(1, RadiusToken(2, 1)), 1500)
     assert result.status == "completed"
-    centers = sorted(p.center[0] for p in result.placements)
+    centers = sorted(c[0] for c in result.centers)
     assert centers == list(range(-1500, 1501, 3))
 
 
@@ -222,17 +223,17 @@ EQUIVALENCE_BUDGET = 300  # small enough that some grid cases run out
 
 @pytest.mark.parametrize("n,p,r,extent", EQUIVALENCE_GRID)
 def test_tiler_matches_reference_scan(n, p, r, extent):
-    ball = enumerate_ball(n, RadiusToken(p, r if p == INF else r**p))
+    ball = enumerate_ball(n, RadiusToken.from_radius(p, r))
     result = tile_region(ball, extent, budget=EQUIVALENCE_BUDGET)
     status, nodes, centers = reference_tile_region(ball, extent, EQUIVALENCE_BUDGET)
     assert (result.status, result.nodes) == (status, nodes)
-    assert [tile.center for tile in result.placements] == centers
+    assert list(result.centers) == centers
 
 
 def test_equivalence_grid_covers_every_outcome():
     statuses = set()
     for n, p, r, extent in EQUIVALENCE_GRID:
-        ball = enumerate_ball(n, RadiusToken(p, r if p == INF else r**p))
+        ball = enumerate_ball(n, RadiusToken.from_radius(p, r))
         statuses.add(tile_region(ball, extent, budget=EQUIVALENCE_BUDGET).status)
     assert statuses == {"completed", "impossible", "inconclusive"}
 
