@@ -73,6 +73,9 @@ def test_lp_distance_values():
     assert lp_distance((0, 0), (0, 0), 2) == RadiusToken(2, 0)
     assert lp_distance((0, 0), (1, 1), 2) == RadiusToken(2, 2)
     assert lp_distance((0, 0, 0), (1, 2, 3), 3) == RadiusToken(3, 36)
+
+
+def test_linf_distance_values():
     assert lp_distance((0, 0), (0, 0), INF) == RadiusToken(INF, 0)
     assert lp_distance((0, 0), (3, -1), INF) == RadiusToken(INF, 3)
     assert lp_distance((1, 2, 3), (4, 4, 4), INF) == RadiusToken(INF, 3)
