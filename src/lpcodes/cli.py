@@ -40,14 +40,19 @@ def _parse_exponent(text):
     return value
 
 
-def _parse_jobs(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"jobs must be a positive integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("jobs must be >= 1")
-    return value
+def _int_at_least(name, least):
+    """argparse type for an integer option `name` that must be >= least."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer >= {least}: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {least}")
+        return value
+
+    return parse
 
 
 def _parse_row(text):
@@ -299,8 +304,8 @@ def build_parser():
     p_search.add_argument("--n", type=int, required=True)
     p_search.add_argument("--p", type=_parse_exponent, required=True)
     p_search.add_argument("--s-max", type=int, required=True)
-    p_search.add_argument("--budget", type=int)
-    p_search.add_argument("--jobs", type=_parse_jobs, default=1,
+    p_search.add_argument("--budget", type=_int_at_least("budget", 0))
+    p_search.add_argument("--jobs", type=_int_at_least("jobs", 1), default=1,
                           help="processes that search, this one included")
     p_search.add_argument("--out")
     p_search.set_defaults(func=cmd_search)
@@ -320,7 +325,7 @@ def build_parser():
     p_tile.add_argument("--p", type=_parse_exponent, required=True)
     p_tile.add_argument("--r", type=int, required=True, help="integer ball radius")
     p_tile.add_argument("--extent", type=int, required=True)
-    p_tile.add_argument("--budget", type=int, default=10**7)
+    p_tile.add_argument("--budget", type=_int_at_least("budget", 0), default=10**7)
     p_tile.add_argument("--out")
     p_tile.set_defaults(func=cmd_tile_region)
 

@@ -15,7 +15,7 @@ integer-rounded outputs).
 import ast
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
 
 from . import geometry
@@ -80,20 +80,21 @@ def _eval_expr(text):
     return float(ev(tree))
 
 
-@dataclass(frozen=True)
-class DensityTable:
+class DensityTable(namedtuple("DensityTable", "entries")):
     """Best known superball packing densities, keyed by (n, p).
 
-    Each entry keeps the source expression and a provenance note so the
-    shipped constants can be audited or overridden from a config file.
+    entries holds (n, p, value, expr, note) tuples: each keeps the source
+    expression and a provenance note so the shipped constants can be
+    audited or overridden from a config file.
     """
 
-    entries: tuple  # of (n, p, value, expr, note)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for n, p, value, _, _ in self.entries:
+    def __new__(cls, entries):
+        for n, p, value, _, _ in entries:
             if not 0 < value <= 1:
                 raise ValueError(f"density for (n={n}, p={p}) outside (0, 1]: {value}")
+        return super().__new__(cls, entries)
 
     def lookup(self, n, p):
         for en, ep, value, _, _ in self.entries:
@@ -192,15 +193,13 @@ def surviving_radii(n, p, delta):
     return out
 
 
-@dataclass(frozen=True)
-class HighDimBound:
-    """Literature density bound (n/p + 1) * 2^(-n/p) and its consequences."""
+class HighDimBound(namedtuple("HighDimBound", "n p value nontrivial radius_bound")):
+    """Literature density bound (n/p + 1) * 2^(-n/p) and its consequences.
 
-    n: int
-    p: object
-    value: float
-    nontrivial: bool
-    radius_bound: object  # float when the value is a usable density, else None
+    radius_bound is a float when the value is a usable density, else None.
+    """
+
+    __slots__ = ()
 
 
 def high_dimension_density_bound(n, p):
@@ -216,20 +215,15 @@ def high_dimension_density_bound(n, p):
     return HighDimBound(n, p, value, nontrivial, radius)
 
 
-@dataclass(frozen=True)
-class CubeBallVerdict:
+class CubeBallVerdict(namedtuple(
+        "CubeBallVerdict", "n r p equal ball_token verified_by_enumeration")):
     """Whether the l_p ball of power n*r^p coincides with the cube [-r, r]^n.
 
     When it does, sup-metric perfect codes of radius r are also l_p
     perfect at the token s = n*r^p (radius n^(1/p) r), and conversely.
     """
 
-    n: int
-    r: int
-    p: object
-    equal: bool
-    ball_token: object
-    verified_by_enumeration: bool
+    __slots__ = ()
 
 
 _ENUM_VERIFY_CAP = 200_000

@@ -17,7 +17,7 @@ the reference the test suite checks the closed forms against.  The
 table refuses limits above MAX_REACH_LIMIT before it allocates.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .geometry import INF, norm_power
@@ -135,15 +135,13 @@ def is_achievable(p, n, s, q=None):
     return sums_of_powers_reachable(p, n, _reach_limit(s))[s] == 1
 
 
-@dataclass(frozen=True)
-class AchievabilityTable:
-    """All achievable distance powers up to a limit, for one (p, n, q)."""
+class AchievabilityTable(namedtuple("AchievabilityTable", "p n limit q achievable")):
+    """All achievable distance powers up to a limit, for one (p, n, q).
 
-    p: object
-    n: int
-    limit: int
-    q: object
-    achievable: tuple
+    `s in table` asks whether s is achievable, not whether it is a field.
+    """
+
+    __slots__ = ()
 
     def __contains__(self, s):
         return s in set(self.achievable)

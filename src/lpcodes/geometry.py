@@ -9,7 +9,7 @@ exact for any exponent and any size input.
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .intmath import factorize, iroot
@@ -65,8 +65,7 @@ def norm_power(v, p):
     return sum(abs(c) ** p for c in v)
 
 
-@dataclass(frozen=True)
-class RadiusToken:
+class RadiusToken(namedtuple("RadiusToken", "p power_value")):
     """Exact radius: (p, s) encodes r = s**(1/p); (inf, r) encodes r itself.
 
     Tokens with equal p are totally ordered by their power value.
@@ -77,13 +76,13 @@ class RadiusToken:
     8
     """
 
-    p: object
-    power_value: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_exponent(self.p)
-        if not isinstance(self.power_value, int) or self.power_value < 0:
-            raise ValueError(f"power value must be a nonnegative integer, got {self.power_value!r}")
+    def __new__(cls, p, power_value):
+        check_exponent(p)
+        if not isinstance(power_value, int) or power_value < 0:
+            raise ValueError(f"power value must be a nonnegative integer, got {power_value!r}")
+        return super().__new__(cls, p, power_value)
 
     @classmethod
     def from_radius(cls, p, r):
@@ -164,17 +163,14 @@ def induced_distance_oracle(x, y, q, p, shift_bound=1):
     return RadiusToken(p, norm_power(per_coord, p))
 
 
-@dataclass(frozen=True)
-class DiscreteBall:
+class DiscreteBall(namedtuple("DiscreteBall", "dimension radius points")):
     """All integer points within a token radius of the origin.
 
-    Points are stored in lexicographic order; membership queries use the
-    defining inequality, not the list.
+    radius is a RadiusToken.  Points are stored in lexicographic order;
+    membership queries use the defining inequality, not the list.
     """
 
-    dimension: int
-    radius: RadiusToken
-    points: tuple
+    __slots__ = ()
 
     @property
     def cardinality(self):
@@ -195,13 +191,13 @@ class DiscreteBall:
         }
 
 
-@dataclass(frozen=True)
-class DifferenceSet:
-    """The set B - B of pairwise differences of a ball's points."""
+class DifferenceSet(namedtuple("DifferenceSet", "dimension source_radius points")):
+    """The set B - B of pairwise differences of a ball's points.
 
-    dimension: int
-    source_radius: RadiusToken
-    points: tuple
+    source_radius is the RadiusToken of that ball.
+    """
+
+    __slots__ = ()
 
     @property
     def cardinality(self):

@@ -50,7 +50,7 @@ import itertools
 import json
 import os
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cache, reduce
 from math import gcd, prod
 from operator import mul
@@ -73,27 +73,26 @@ __all__ = [
 DEFAULT_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class AbelianGroupSpec:
+class AbelianGroupSpec(namedtuple("AbelianGroupSpec", "order factors")):
     """Abelian group as an invariant-factor chain d_1 | d_2 | ... (each > 1).
 
     Elements are residue tuples.  The trivial group has an empty chain.
     """
 
-    order: int
-    factors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, order, factors):
         prod = 1
-        for a, b in itertools.pairwise(self.factors):
+        for a, b in itertools.pairwise(factors):
             if b % a:
-                raise ValueError(f"not a divisibility chain: {self.factors}")
-        for d in self.factors:
+                raise ValueError(f"not a divisibility chain: {factors}")
+        for d in factors:
             if d < 2:
                 raise ValueError("invariant factors must exceed 1")
             prod *= d
-        if prod != self.order:
-            raise ValueError(f"factors {self.factors} do not multiply to {self.order}")
+        if prod != order:
+            raise ValueError(f"factors {factors} do not multiply to {order}")
+        return super().__new__(cls, order, factors)
 
     @property
     def identity(self):
@@ -109,18 +108,20 @@ class AbelianGroupSpec:
         return " x ".join(f"Z_{d}" for d in reversed(self.factors)) or "Z_1"
 
 
-@dataclass(frozen=True)
-class GroupHomomorphism:
-    """phi: Z^n -> G determined by the images of the standard basis."""
+class GroupHomomorphism(namedtuple("GroupHomomorphism", "group images")):
+    """phi: Z^n -> G determined by the images of the standard basis.
 
-    group: AbelianGroupSpec
-    images: tuple
+    group is G as an AbelianGroupSpec.
+    """
 
-    def __post_init__(self):
-        k = len(self.group.factors)
-        for g in self.images:
+    __slots__ = ()
+
+    def __new__(cls, group, images):
+        k = len(group.factors)
+        for g in images:
             if len(g) != k:
                 raise ValueError("image has wrong number of components")
+        return super().__new__(cls, group, images)
 
     @property
     def n(self):
@@ -437,18 +438,17 @@ class _BudgetExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TokenOutcome:
-    """Result of the homomorphism search at one radius token."""
+class TokenOutcome(namedtuple(
+        "TokenOutcome",
+        "n token status ball_size homomorphism kernel candidates_examined certificate",
+        defaults=(None,))):
+    """Result of the homomorphism search at one radius token.
 
-    n: int
-    token: RadiusToken
-    status: str  # found | exhausted | inconclusive | skipped
-    ball_size: int
-    homomorphism: object
-    kernel: object
-    candidates_examined: int
-    certificate: object = None
+    status is found, exhausted, inconclusive or skipped; certificate is
+    None until classify attaches the re-verification of a found kernel.
+    """
+
+    __slots__ = ()
 
     @property
     def groups_tried(self):
@@ -493,15 +493,10 @@ def search_homomorphisms(n, token, budget=DEFAULT_BUDGET):
     return TokenOutcome(n, token, "found", m, kernel_homomorphism(kernel), kernel, counter[0])
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(namedtuple("ClassificationReport", "n p s_max budget outcomes")):
     """Sweep of all achievable tokens up to s_max for fixed (n, p)."""
 
-    n: int
-    p: object
-    s_max: int
-    budget: int
-    outcomes: tuple
+    __slots__ = ()
 
     @property
     def found_tokens(self):
@@ -617,6 +612,6 @@ def classify(n, p, s_max, budget=DEFAULT_BUDGET, jobs=1):
                 raise AssertionError(
                     f"kernel at s={out.token.power_value} failed re-verification"
                 )
-            out = replace(out, certificate=cert)
+            out = out._replace(certificate=cert)
         verified.append(out)
     return ClassificationReport(n, p, s_max, budget, tuple(verified))

@@ -7,7 +7,7 @@ minimum distance, packing radius and the perfect-code certificate all
 reduce to integer comparisons via RadiusToken power values.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import distance_sets
 from .geometry import (
@@ -70,13 +70,10 @@ def hermite_normal_form(rows, n):
     return tuple(tuple(r) for r in basis)
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class IntegerLattice(namedtuple("IntegerLattice", "n basis determinant")):
     """A full-rank sublattice of Z^n with canonical HNF basis rows."""
 
-    n: int
-    basis: tuple
-    determinant: int
+    __slots__ = ()
 
     @classmethod
     def from_rows(cls, rows, n=None):
@@ -308,8 +305,8 @@ def radius_bracket(lat, p):
     return lower_ok, upper_ok, d, r
 
 
-@dataclass(frozen=True)
-class PerfectCertificate:
+class PerfectCertificate(namedtuple(
+        "PerfectCertificate", "status failed_condition witness_vector lattice token")):
     """Outcome of the perfect-code check for (lattice, p, r).
 
     PERFECT means determinant equals the ball cardinality and no nonzero
@@ -317,11 +314,7 @@ class PerfectCertificate:
     conditions together are equivalent to the balls tiling Z^n.
     """
 
-    status: str
-    failed_condition: object
-    witness_vector: object
-    lattice: IntegerLattice
-    token: RadiusToken
+    __slots__ = ()
 
     @property
     def is_perfect(self):

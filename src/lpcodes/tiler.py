@@ -19,7 +19,7 @@ region cell below it free, which away from the region's lower faces
 is a single tile.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .geometry import INF, RadiusToken, enumerate_ball
 
@@ -81,20 +81,16 @@ def excludes_space_tiling(n, r, p):
     return r > 2 and (n - 1) * (r - 1) ** p + (r - 2) ** p <= r**p
 
 
-@dataclass(frozen=True)
-class TileResult:
-    """Outcome of the bounded-region search.
+class TileResult(namedtuple("TileResult", "status extent footprint centers nodes")):
+    """Outcome of the bounded-region search for the ball footprint.
 
-    completed carries the tile centers; impossible carries only the node
-    count, which together with the deterministic traversal order is the
-    reproducible certificate; inconclusive means the budget ran out.
+    status is completed, impossible or inconclusive.  completed carries
+    the tile centers; impossible carries only the node count, which
+    together with the deterministic traversal order is the reproducible
+    certificate; inconclusive means the budget ran out.
     """
 
-    status: str  # completed | impossible | inconclusive
-    extent: int
-    footprint: object
-    centers: tuple
-    nodes: int
+    __slots__ = ()
 
     def to_json(self):
         return {

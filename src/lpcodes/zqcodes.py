@@ -7,7 +7,7 @@ is the preimage of the code under reduction mod q ("construction A");
 packing radii transfer between the two exactly when 2r < q.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from . import distance_sets, intmath, lattices
@@ -30,20 +30,18 @@ __all__ = [
 CLOSURE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class LinearCodeZq:
+class LinearCodeZq(namedtuple("LinearCodeZq", "q n generators")):
     """Additive code in Z_q^n given by generator rows (residue vectors)."""
 
-    q: int
-    n: int
-    generators: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q < 2:
+    def __new__(cls, q, n, generators):
+        if q < 2:
             raise ValueError("modulus must be >= 2")
-        for g in self.generators:
-            if len(g) != self.n or any(not (0 <= c < self.q) for c in g):
-                raise ValueError(f"generator out of range for Z_{self.q}^{self.n}: {g!r}")
+        for g in generators:
+            if len(g) != n or any(not (0 <= c < q) for c in g):
+                raise ValueError(f"generator out of range for Z_{q}^{n}: {g!r}")
+        return super().__new__(cls, q, n, generators)
 
     @property
     def cardinality(self):
@@ -188,8 +186,9 @@ def code_is_perfect(code, p, token):
     return len(counts) == code.q**code.n
 
 
-@dataclass(frozen=True)
-class TransferCertificate:
+class TransferCertificate(namedtuple(
+        "TransferCertificate",
+        "code p code_radius condition_met lattice_radius radii_equal code_perfect lattice_status")):
     """Relation between a code's packing radius and its lift's.
 
     When 2r < q the two radii agree (and a perfect code lifts to a
@@ -197,14 +196,7 @@ class TransferCertificate:
     is reported independently.
     """
 
-    code: LinearCodeZq
-    p: object
-    code_radius: RadiusToken
-    condition_met: bool
-    lattice_radius: object
-    radii_equal: object
-    code_perfect: object
-    lattice_status: object
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -236,8 +228,7 @@ def transfer_packing_radius(code, p):
     )
 
 
-@dataclass(frozen=True)
-class LinftyVerdict:
+class LinftyVerdict(namedtuple("LinftyVerdict", "q n exists b m radius code")):
     """Existence answer for nontrivial perfect sup-metric codes over Z_q.
 
     They exist in every dimension exactly when q factors as b*m with
@@ -245,13 +236,7 @@ class LinftyVerdict:
     {b*e_i}, radius (b-1)/2.
     """
 
-    q: int
-    n: int
-    exists: bool
-    b: object
-    m: object
-    radius: object
-    code: object
+    __slots__ = ()
 
     def to_json(self):
         return {

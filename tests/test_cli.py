@@ -81,6 +81,18 @@ def test_search_rejects_jobs_below_1(jobs):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--n", "2", "--p", "2", "--s-max", "4"],
+    ["tile-region", "--n", "2", "--p", "2", "--r", "1", "--extent", "3"],
+])
+def test_negative_budget_is_a_usage_error(argv):
+    proc = run(*argv, "--budget", "-1")
+    assert proc.returncode == 1
+    assert "usage:" in proc.stderr and "budget must be >= 0" in proc.stderr
+    assert proc.stdout == ""
+    assert run(*argv, "--budget", "0").returncode == 2
+
+
 def test_ball_writes_file(tmp_path):
     out = tmp_path / "ball.json"
     proc = run("ball", "--n", "2", "--p", "2", "--s", "1", "--out", str(out))
@@ -369,22 +381,34 @@ def test_importing_the_package_loads_no_submodule():
     assert loaded_modules("-c", "import lpcodes") == {"lpcodes"}
 
 
+def test_importing_every_module_loads_no_dataclasses():
+    names = sorted(path.stem for path in (ROOT / "src" / "lpcodes").glob("*.py"))
+    code = "".join(f"import lpcodes.{name}\n" for name in names if name != "__init__")
+    assert "lpcodes.homsearch" in loaded_modules("-c", code)
+    assert loaded_modules("-c", code, package="dataclasses") == set()
+
+
 def test_search_loads_only_the_search_modules():
-    loaded = loaded_modules("-m", "lpcodes.cli", "search", "--n", "2", "--p", "2", "--s-max", "4")
+    serial = ["-m", "lpcodes.cli", "search", "--n", "2", "--p", "2", "--s-max", "4"]
+    loaded = loaded_modules(*serial)
     assert "lpcodes.homsearch" in loaded
     for name in ("zqcodes", "density", "tiler", "svg"):
         assert f"lpcodes.{name}" not in loaded
-    parallel = ["-m", "lpcodes.cli", "search", "--n", "2", "--p", "2", "--s-max", "4", "--jobs", "2"]
+    parallel = serial + ["--jobs", "2"]
     assert loaded_modules(*parallel, package="multiprocessing") == set()
+    for argv in (serial, parallel):
+        for package in ("dataclasses", "inspect"):
+            assert loaded_modules(*argv, package=package) == set(), (argv, package)
 
 
 def test_tile_region_loads_only_the_tiler_modules():
-    loaded = loaded_modules(
-        "-m", "lpcodes.cli", "tile-region", "--n", "2", "--p", "2", "--r", "1", "--extent", "3"
-    )
+    argv = ["-m", "lpcodes.cli", "tile-region", "--n", "2", "--p", "2", "--r", "1", "--extent", "3"]
+    loaded = loaded_modules(*argv)
     assert "lpcodes.tiler" in loaded
     for name in ("homsearch", "lattices", "distance_sets", "zqcodes", "density", "svg"):
         assert f"lpcodes.{name}" not in loaded
+    for package in ("dataclasses", "inspect"):
+        assert loaded_modules(*argv, package=package) == set(), package
 
 
 # ----------------------------------------------------------------- README

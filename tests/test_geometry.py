@@ -67,6 +67,18 @@ def test_token_rejects_negative_power():
         RadiusToken(2, -1)
 
 
+@pytest.mark.parametrize("p, s", [(0, 1), (2.5, 1), (True, 1), (2, 2.0), (INF, -1)])
+def test_token_rejects_bad_exponents_and_powers(p, s):
+    with pytest.raises(ValueError):
+        RadiusToken(p, s)
+
+
+def test_equal_tokens_hash_equal():
+    assert RadiusToken(3, 8) == RadiusToken.from_radius(3, 2)
+    assert hash(RadiusToken(3, 8)) == hash(RadiusToken.from_radius(3, 2))
+    assert len({RadiusToken(INF, 2), RadiusToken.from_radius(INF, 2), RadiusToken(2, 2)}) == 2
+
+
 # ------------------------------------------------------------- distances
 
 def test_lp_distance_values():

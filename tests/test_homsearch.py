@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import os
+import pickle
 import warnings
 
 import pytest
@@ -252,6 +253,17 @@ def test_homomorphism_apply():
     assert phi.apply((2, 1)) == (5,)
     assert phi.apply((-1, 0)) == (8,)
     assert phi.apply((3, 2)) == (0,)
+
+
+def test_group_records_reject_invalid_groups_and_images():
+    with pytest.raises(ValueError, match="divisibility chain"):
+        AbelianGroupSpec(6, (2, 3))
+    with pytest.raises(ValueError, match="exceed 1"):
+        AbelianGroupSpec(3, (1, 3))
+    with pytest.raises(ValueError, match="do not multiply"):
+        AbelianGroupSpec(8, (2, 2))
+    with pytest.raises(ValueError, match="wrong number of components"):
+        GroupHomomorphism(AbelianGroupSpec(4, (2, 2)), ((1, 0), (1,)))
 
 
 def test_homomorphism_json_roundtrip():
@@ -565,6 +577,26 @@ def test_classify_l1_cross():
     report = classify(2, 1, 1)
     assert report.found_tokens == (1,)
     assert report.outcomes[0].homomorphism.images == ((1,), (2,))
+
+
+def test_outcomes_and_reports_survive_pickle():
+    # the forked map sends each share's outcomes to the caller through pickle
+    report = classify(2, 2, 4)
+    found = report.outcomes[0]
+    assert found.status == "found" and found.certificate.is_perfect
+    again = pickle.loads(pickle.dumps(found))
+    assert again == found and type(again) is type(found)
+    assert type(again.certificate) is type(found.certificate)
+    again = pickle.loads(pickle.dumps(report))
+    assert again == report and type(again) is type(report)
+
+
+def test_records_are_read_only():
+    outcome = search_homomorphisms(2, RadiusToken(2, 1))
+    with pytest.raises(AttributeError):
+        outcome.status = "exhausted"
+    with pytest.raises(AttributeError):
+        outcome.kernel.determinant = 1
 
 
 def assert_no_child_left():

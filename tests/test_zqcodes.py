@@ -56,6 +56,9 @@ def test_rejects_bad_generators():
         LinearCodeZq(13, 2, ((1, 5, 0),))
     with pytest.raises(ValueError):
         LinearCodeZq(1, 2, ((0, 0),))
+    for residues in ((1, 13), (-1, 0)):
+        with pytest.raises(ValueError):
+            LinearCodeZq(13, 2, (residues,))
 
 
 def test_json_roundtrip():
