@@ -275,7 +275,7 @@ def build_parser():
     p_ball.set_defaults(func=cmd_ball)
 
     p_dist = sub.add_parser("distances", help="achievable distance powers")
-    p_dist.add_argument("--p", type=int, required=True)
+    p_dist.add_argument("--p", type=_parse_exponent, required=True)
     p_dist.add_argument("--n", type=int, required=True)
     p_dist.add_argument("--limit", type=int, required=True)
     p_dist.add_argument("--q", type=int)

@@ -216,16 +216,21 @@ def enumerate_ball(n, token):
     """DiscreteBall for B_p^n(r), points in lexicographic order.
 
     Raises ValueError, before listing any point, for a ball of more than
-    MAX_BALL_POINTS points.
+    MAX_BALL_POINTS points.  For finite p the ball holds the cube of
+    half-side t = floor((s // n)^(1/p)), so a cube over the guard refuses
+    at once with "at least (2t + 1)^n points"; otherwise the exact count
+    decides.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if not isinstance(token, RadiusToken):
         raise ValueError("radius must be a RadiusToken")
-    size = ball_cardinality(n, token)
+    cube = 0 if token.p == INF else (2 * iroot(token.power_value // n, token.p) + 1) ** n
+    size = cube if cube > MAX_BALL_POINTS else ball_cardinality(n, token)
     if size > MAX_BALL_POINTS:
         raise ValueError(
-            f"the ball n={n}, p={token.json_p()}, s={token.power_value} has {size} points, "
+            f"the ball n={n}, p={token.json_p()}, s={token.power_value} has "
+            f"{'at least ' if size == cube else ''}{size} points, "
             f"more than MAX_BALL_POINTS = {MAX_BALL_POINTS}"
         )
     if token.p == INF:

@@ -20,13 +20,14 @@ basis, row j = (h_0, ..., h_{j-1}, d_j) with d_0 * ... * d_{n-1} = m and
   lattice.
 
 Each node of the walk (the rows fixed so far) puts Z^j / L_{j-1} in
-quotient coordinates once, for all its diagonals: the Smith form of the
-rows gives an isomorphism phi onto Z_e1 x ... x Z_ek, packed into an
-index below M = d_0 * ... * d_{j-1}, and a reach table maps phi(u), for
-each prefix u = v[:j] of B - B, to the largest v_j over prefixes with
-that image.  The test above is then reach[y phi(h)] >= y d_j for some
-y >= 1: one list lookup and a few modular multiplications per residue,
-on single ints when the quotient is cyclic.  A node builds its table on
+quotient coordinates once, for all its diagonals: lattices.quotient_map
+gives an isomorphism phi onto Z_e1 x ... x Z_ek (in closed form under a
+cyclic prefix, by the Smith form otherwise), packed into an index below
+M = d_0 * ... * d_{j-1}, and a reach table maps phi(u), for each prefix
+u = v[:j] of B - B, to the largest v_j over prefixes with that image.
+The test above is then reach[y phi(h)] >= y d_j for some y >= 1: one
+list lookup and a few modular multiplications per residue, on single
+ints when the quotient is cyclic.  A node builds its table on
 the first diagonal that B - B can reach, so a node whose first residue
 passes outright never builds one.
 
@@ -35,9 +36,10 @@ coordinates.  One that moves only the first j coordinates maps the
 completions of a node with rows L_j one to one onto those of the node
 HNF(g L_j), so a node of 2 <= j <= n - 1 rows is skipped when such an
 image comes earlier in walk order (the key d_0, d_1, idx_1, ..., larger
-first): the walk has searched that subtree already.  The first kernel in
-walk order is never skipped, so only candidates_examined changes; Z^2
-has no such node.
+first): the walk has searched that subtree already.  Under a cyclic
+prefix the earliest image is one sort away (_has_earlier_image).  The
+first kernel in walk order is never skipped, so only candidates_examined
+changes; Z^2 has no such node.
 
 The first complete basis is the kernel, and the homomorphism is read off
 it (kernel_homomorphism).  candidates_examined counts the diagonals and
@@ -94,16 +96,6 @@ class AbelianGroupSpec(namedtuple("AbelianGroupSpec", "order factors")):
             raise ValueError(f"factors {factors} do not multiply to {order}")
         return super().__new__(cls, order, factors)
 
-    @property
-    def identity(self):
-        return (0,) * len(self.factors)
-
-    def add(self, x, y):
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.factors))
-
-    def scale(self, k, x):
-        return tuple((k * c) % d for c, d in zip(x, self.factors))
-
     def label(self):
         return " x ".join(f"Z_{d}" for d in reversed(self.factors)) or "Z_1"
 
@@ -127,25 +119,12 @@ class GroupHomomorphism(namedtuple("GroupHomomorphism", "group images")):
     def n(self):
         return len(self.images)
 
-    def apply(self, x):
-        if len(x) != self.n:
-            raise ValueError("dimension mismatch")
-        acc = self.group.identity
-        for xi, g in zip(x, self.images):
-            acc = self.group.add(acc, self.group.scale(xi, g))
-        return acc
-
     def to_json(self):
         return {
             "group_order": self.group.order,
             "group_factors": list(self.group.factors),
             "images": [list(g) for g in self.images],
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        spec = AbelianGroupSpec(obj["group_order"], tuple(obj["group_factors"]))
-        return cls(spec, tuple(tuple(g) for g in obj["images"]))
 
 
 def _slices(diffs, n):
@@ -185,11 +164,10 @@ def _residue(idx, radix):
 
 
 class _Quotient:
-    """Z^j / L for the Hermite rows fixed so far, in Smith coordinates.
+    """Z^j / L for the Hermite rows fixed so far, in quotient coordinates.
 
-    With U R V = diag(e_1, ..., e_j) the Smith form of the rows R,
-    phi(x) = x V mod (e_1, ..., e_k) (the factors above 1) is an
-    isomorphism onto Z_e1 x ... x Z_ek, packed into an index below
+    lattices.quotient_map gives an isomorphism phi onto Z_e1 x ... x Z_ek
+    (the invariant factors above 1), packed into an index below
     M = d_0 ... d_{j-1} (e_1 least significant).  reach[phi(u)] is the
     largest top over the prefixes u of B - B at level j with that image,
     0 where there is none; tops below the least diagonal the node tests
@@ -312,32 +290,36 @@ def _has_earlier_image(rows):
     """Whether a signed permutation of the rows' coordinates maps their lattice
     to one whose Hermite basis comes earlier in walk order.
 
-    All images that send coordinate c to coordinate 0 share their d_0, the
-    least multiple of e_c in the lattice: d_c times the order of row c's
-    prefix modulo the rows above.  One such d_0 above the lattice's own
-    decides at once, and a group with a smaller one is ruled out.  The
-    groups that tie are compared in closed form when the prefix is cyclic
-    (d_1 = ... = 1) and by Hermite forms otherwise.  The rule is the same
-    for every number of rows, two included.
+    A cyclic prefix (d_1 = ... = 1) is the kernel of u = (1, -h_1, ...,
+    -h_{j-1}) mod d_0, so the least multiple of e_c in it is d_0 / gcd(u_c,
+    d_0) <= d_0: only the images that send a unit u_c to coordinate 0 tie,
+    and they are cyclic with rows (h'_t, 1), h'_t = +-u_s / u_c for the
+    coordinate s sent to t.  The largest of them takes each h'_t as
+    max(y, -y mod d_0) and puts those in descending order.
+
+    Otherwise all images that send coordinate c to coordinate 0 share
+    their d_0, the least multiple of e_c in the lattice: d_c times the
+    order of row c's prefix modulo the rows above.  One such d_0 above the
+    lattice's own decides at once, a group with a smaller one is ruled
+    out, and the groups that tie are compared by Hermite forms.  The rule
+    is the same for every number of rows, two included.
     """
     j = len(rows)
     d0 = rows[0][0]
+    if all(row[-1] == 1 for row in rows[1:]):
+        u = [1] + [-row[0] for row in rows[1:]]
+        own = [row[0] for row in rows[1:]]
+        for first in range(j):
+            if gcd(u[first], d0) == 1:
+                inv = pow(u[first], -1, d0)
+                ys = (u[c] * inv % d0 for c in range(j) if c != first)
+                if sorted((max(y, -y % d0) for y in ys), reverse=True) > own:
+                    return True
+        return False
     firsts = [rows[c][c] * _prefix_order(rows, c) for c in range(j)]
     if max(firsts) > d0:
         return True
     ties = [c for c in range(j) if firsts[c] == d0]
-    if all(row[-1] == 1 for row in rows[1:]):
-        # a cyclic prefix is the kernel of u = (1, -h_1, ..., -h_{j-1}) mod d0, and
-        # e_c ties exactly when u_c is a unit; its images are cyclic too, with
-        # rows (h'_t, 1), h'_t = -+u_s / u_c for the coordinate s sent to t
-        u = [1] + [-row[0] for row in rows[1:]]
-        own = tuple(row[0] for row in rows[1:])
-        for first in ties:
-            inv = pow(u[first], -1, d0)
-            for perm in itertools.permutations([c for c in range(j) if c != first]):
-                if tuple(max(y, -y % d0) for y in (u[c] * inv % d0 for c in perm)) > own:
-                    return True
-        return False
     basis = [row + (0,) * (j - len(row)) for row in rows]
     key = _walk_key(basis)
     for first in ties:
@@ -420,18 +402,11 @@ def _find_kernel(n, m, slices, budget, counter):
 
 
 def kernel_homomorphism(kernel):
-    """A homomorphism phi: Z^n -> Z^n / kernel with ker(phi) = kernel.
-
-    For a Hermite diagonal (m, 1, ..., 1) the quotient is Z_m with
-    e_0 -> 1 and e_j -> -h_j0; otherwise the group and images come from
-    the Smith form (lattices.quotient_map).
-    """
-    m = kernel.determinant
-    if m > 1 and kernel.basis[0][0] == m:
-        images = ((1,),) + tuple(((-row[0]) % m,) for row in kernel.basis[1:])
-        return GroupHomomorphism(AbelianGroupSpec(m, (m,)), images)
+    """A homomorphism phi: Z^n -> Z^n / kernel with ker(phi) = kernel
+    (lattices.quotient_map: Z_m with e_0 -> 1 and e_j -> -h_j0 for a
+    Hermite diagonal (m, 1, ..., 1), the Smith form otherwise)."""
     factors, images = lattices.quotient_map(kernel.basis)
-    return GroupHomomorphism(AbelianGroupSpec(m, factors), images)
+    return GroupHomomorphism(AbelianGroupSpec(kernel.determinant, factors), images)
 
 
 class _BudgetExceeded(Exception):

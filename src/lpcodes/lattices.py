@@ -211,9 +211,19 @@ def quotient_map(rows):
     L the lattice spanned by the rows (n columns, full rank).
 
     factors are the invariant factors above 1 (d_1 | d_2 | ...), and
-    images[i] is the image of e_i.  From the Smith form U B V = D of the
-    rows B: x -> x V mod D sends L = Z^n B onto Z^n D, i.e. to 0.
+    images[i] is the image of e_i.  Rows (m, 0, ..., 0) and (h_i, 0, ...,
+    1, ...) with 1 in column i and m >= 1 span the kernel of x -> x_0 -
+    h_1 x_1 - ... - h_{n-1} x_{n-1} mod m, so the quotient is Z_m with
+    e_0 -> 1 and e_i -> -h_i.  Other rows go through the Smith form
+    U B V = D of the rows B: x -> x V mod D sends L = Z^n B onto Z^n D,
+    i.e. to 0.
     """
+    m = rows[0][0] if rows else 0
+    if m >= 1 and all(row[c] == int(c == i)
+                      for i, row in enumerate(rows) for c in range(1, len(row))):
+        if m == 1:
+            return (), ((),) * len(rows)
+        return (m,), ((1,),) + tuple((-row[0] % m,) for row in rows[1:])
     factors, V = _smith(rows)
     keep = [c for c, d in enumerate(factors) if d > 1]
     images = tuple(tuple(row[c] % factors[c] for c in keep) for row in V)

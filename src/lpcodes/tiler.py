@@ -147,22 +147,29 @@ def tile_region(footprint, extent, budget=10**7):
     # descending v gives the centers t - v in lexicographic order
     rises = sorted(((off - low, v) for v, off in offsets.items()), reverse=True)
 
-    region_cells = enumerate_ball(n, RadiusToken(INF, extent)).points  # lex order
-    region_mask = 0
-    for pt in region_cells:
-        region_mask |= 1 << bit_index(pt)
+    # the region is a product of intervals, so its mask is a product of one
+    # run of bits per axis
+    region_mask = 1
+    for i in range(n):
+        region_mask *= sum(1 << ((c + span) * width**i) for c in range(-extent, extent + 1))
 
     # region cell index -> (center, shift) of the tiles that cover the
-    # cell and leave every region cell below it free
+    # cell and leave every region cell below it free; a tile reaches at
+    # most `reach` bits below its cell, so only that window of the region
+    # is read: window bit b is the region cell k - reach + b
+    reach = rises[0][0]
     candidates = {}
-    for t in region_cells:
+    window, last = 0, 0
+    for t in enumerate_ball(n, RadiusToken(INF, extent)).points:  # lex order
         k = bit_index(t)
-        below = region_mask & ((1 << k) - 1)
+        window >>= k - last
         candidates[k] = [
             (tuple(a - b for a, b in zip(t, v)), k - rise)
             for rise, v in rises
-            if not (below >> (k - rise)) & shape
+            if not (window >> (reach - rise)) & shape
         ]
+        window |= 1 << reach
+        last = k
 
     nodes = 0
     chosen = [(0,) * n]

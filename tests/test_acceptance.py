@@ -31,7 +31,7 @@ from lpcodes.geometry import (
     induced_distance_oracle,
     plee_distance,
 )
-from lpcodes.homsearch import classify
+from lpcodes.homsearch import classify, search_homomorphisms
 from lpcodes.lattices import (
     canonicalize,
     minimum_distance,
@@ -299,3 +299,13 @@ def test_criterion_16_lee_classification():
     for outcome in plane.outcomes + space.outcomes[:1]:
         assert outcome.certificate.is_perfect, outcome.token
     _stamp(16, "Lee classification, n = 2 to s = 40 and n = 3 to s = 10", t0, 120)
+
+
+def test_criterion_17_lee_radius_2_in_dimensions_3_to_7():
+    t0 = time.time()
+    # Horak-Grosek (2014): no linear perfect Lee code of radius 2 for 3 <= n <= 12
+    candidates = {3: 200, 4: 886, 5: 6142, 6: 65316, 7: 395812}
+    for n, count in candidates.items():
+        outcome = search_homomorphisms(n, RadiusToken(1, 2))
+        assert (outcome.status, outcome.candidates_examined) == ("exhausted", count), n
+    _stamp(17, "Lee radius 2, n = 3 to 7", t0, 60)

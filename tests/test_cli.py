@@ -49,9 +49,17 @@ def test_ball_sup_metric():
 
 
 def test_ball_over_the_size_guard_exits_1_quickly():
+    # the inscribed cube of half-side 3 already has 7^10 points
     proc = run("ball", "--n", "10", "--p", "2", "--s", "100", timeout=30)
     assert proc.returncode == 1
-    assert "26107328109 points" in proc.stderr
+    assert "at least 282475249 points" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_ball_far_over_the_size_guard_is_refused_before_counting():
+    proc = run("ball", "--n", "4", "--p", "2", "--s", "1000000", timeout=30)
+    assert proc.returncode == 1
+    assert "at least 1004006004001 points" in proc.stderr
     assert proc.stdout == ""
 
 
@@ -112,6 +120,27 @@ def test_distances_with_modulus():
     proc = run("distances", "--p", "2", "--n", "2", "--limit", "10", "--q", "5")
     obj = json.loads(proc.stdout)
     assert obj["achievable"] == [0, 1, 2, 4, 5, 8]
+
+
+def test_distances_sup_metric():
+    proc = run("distances", "--p", "inf", "--n", "2", "--limit", "5")
+    assert proc.returncode == 0
+    obj = json.loads(proc.stdout)
+    assert obj["achievable"] == [0, 1, 2, 3, 4, 5]
+    assert obj["p"] == obj["manifest"]["parameters"]["p"] == "inf"
+
+
+def test_distances_sup_metric_with_modulus():
+    # every radius up to floor(q/2)
+    proc = run("distances", "--p", "inf", "--n", "2", "--limit", "5", "--q", "5")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["achievable"] == [0, 1, 2]
+
+
+def test_distances_rejects_exponent_zero():
+    proc = run("distances", "--p", "0", "--n", "2", "--limit", "5")
+    assert proc.returncode == 1
+    assert "exponent must be >= 1" in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -187,7 +187,8 @@ def test_lee_ball_count_is_closed_form():
 
 def test_enumerate_ball_refuses_balls_over_the_size_guard(monkeypatch):
     assert ball_cardinality(4, RadiusToken(2, 79)) <= geometry.MAX_BALL_POINTS
-    with pytest.raises(ValueError, match="26107328109 points"):
+    # the ball holds the cube of half-side iroot(100 // 10, 2) = 3, which already has 7^10 points
+    with pytest.raises(ValueError, match="at least 282475249 points"):
         enumerate_ball(10, RadiusToken(2, 100))
     monkeypatch.setattr(geometry, "MAX_BALL_POINTS", 13)
     assert enumerate_ball(2, RadiusToken(2, 4)).cardinality == 13

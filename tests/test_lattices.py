@@ -9,6 +9,7 @@ from lpcodes.distance_sets import enumerate_achievable
 from lpcodes.geometry import INF, RadiusToken, ball_cardinality, difference_set, enumerate_ball
 from lpcodes.lattices import (
     IntegerLattice,
+    _smith,
     canonicalize,
     hermite_normal_form,
     minimum_distance,
@@ -134,6 +135,31 @@ def test_quotient_divisibility_chain():
         for d in factors:
             order *= d
         assert order == lat.determinant
+
+
+def test_quotient_map_of_a_cyclic_basis_is_closed_form(monkeypatch):
+    # rows (m, 0, ...), (h_i, 0, ..., 1, ...): Z_m with e_0 -> 1 and e_i -> -h_i, no Smith form
+    monkeypatch.setattr("lpcodes.lattices._smith", None)
+    for rows in (((5, 0), (3, 1)), ((27, 0, 0), (24, 1, 0), (18, 0, 1)),
+                 ((12, 0, 0), (0, 1, 0), (7, 0, 1)), ((9, 0), (15, 1)), ((9, 0), (-4, 1))):
+        m = rows[0][0]
+        factors, images = quotient_map(rows)
+        assert factors == (m,) and images[0] == (1,)
+        for row in rows:
+            assert sum(x * img[0] for x, img in zip(row, images)) % m == 0, rows
+    assert quotient_map(((1, 0), (4, 1))) == ((), ((), ()))
+    assert quotient_map(((7,),)) == ((7,), ((1,),))
+
+
+def test_quotient_map_of_other_bases_goes_through_the_smith_form(monkeypatch):
+    calls = []
+    smith = _smith
+    monkeypatch.setattr("lpcodes.lattices._smith", lambda rows: calls.append(rows) or smith(rows))
+    for rows, factors in ((((-5, 0), (3, 1)), (5,)), (((0, 1), (5, 3)), (5,)),
+                          (((5, 0), (3, 2)), (10,)), (((5, 1), (3, 1)), (2,)),
+                          (((4, 0, 0), (1, 1, 0), (2, 1, 1)), (4,))):
+        assert quotient_map(rows)[0] == factors, rows
+    assert len(calls) == 5
 
 
 def test_smith_form_direct():
