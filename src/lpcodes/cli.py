@@ -7,6 +7,7 @@ same manifest; wall time goes to stderr only.  Exit codes: 0 success,
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -87,12 +88,10 @@ def _manifest(sub, args, skip=("func", "out", "svg_out", "subcommand")):
 
 
 def _emit(obj, out):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # streamed: a large artifact is never held as one string
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _emit_lines(lines, out):

@@ -10,7 +10,6 @@ exact for any exponent and any size input.
 import itertools
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 from .intmath import factorize, iroot
 
@@ -34,6 +33,7 @@ __all__ = [
     "lee_distance",
     "plee_distance",
     "induced_distance_oracle",
+    "check_ball_size",
     "enumerate_ball",
     "ball_cardinality",
     "difference_set",
@@ -212,19 +212,13 @@ class DifferenceSet(namedtuple("DifferenceSet", "dimension source_radius points"
         }
 
 
-def enumerate_ball(n, token):
-    """DiscreteBall for B_p^n(r), points in lexicographic order.
+def check_ball_size(n, token):
+    """Raise ValueError when B_p^n(r) has more than MAX_BALL_POINTS points.
 
-    Raises ValueError, before listing any point, for a ball of more than
-    MAX_BALL_POINTS points.  For finite p the ball holds the cube of
-    half-side t = floor((s // n)^(1/p)), so a cube over the guard refuses
-    at once with "at least (2t + 1)^n points"; otherwise the exact count
-    decides.
+    Lists no point.  For finite p the ball holds the cube of half-side
+    t = floor((s // n)^(1/p)), so a cube over the guard refuses at once
+    with "at least (2t + 1)^n points"; otherwise the exact count decides.
     """
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    if not isinstance(token, RadiusToken):
-        raise ValueError("radius must be a RadiusToken")
     cube = 0 if token.p == INF else (2 * iroot(token.power_value // n, token.p) + 1) ** n
     size = cube if cube > MAX_BALL_POINTS else ball_cardinality(n, token)
     if size > MAX_BALL_POINTS:
@@ -233,57 +227,89 @@ def enumerate_ball(n, token):
             f"{'at least ' if size == cube else ''}{size} points, "
             f"more than MAX_BALL_POINTS = {MAX_BALL_POINTS}"
         )
+
+
+def enumerate_ball(n, token):
+    """DiscreteBall for B_p^n(r), points in lexicographic order.
+
+    Raises ValueError, before listing any point, for a ball of more than
+    MAX_BALL_POINTS points (see check_ball_size).
+    """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if not isinstance(token, RadiusToken):
+        raise ValueError("radius must be a RadiusToken")
+    check_ball_size(n, token)
     if token.p == INF:
         rng = range(-token.power_value, token.power_value + 1)
         pts = tuple(itertools.product(rng, repeat=n))
         return DiscreteBall(n, token, pts)
     p, s = token.p, token.power_value
     out = []
-    point = [0] * n
-
-    def rec(i, budget):
-        if i == n:
-            out.append(tuple(point))
-            return
+    # Prefixes grow one coordinate at a time while they leave some power
+    # budget; a prefix that spends it all ends in zeros, so only prefixes
+    # of points with a later nonzero coordinate are kept (at most |B|).
+    power = [c**p for c in range(iroot(s, p) + 1)]
+    zeros = (0,) * n
+    live = [((), s)]
+    for i in range(1, n):
+        grown = []
+        for head, budget in live:
+            top = iroot(budget, p)
+            for c in range(-top, top + 1):
+                rest = budget - power[abs(c)]
+                if rest:
+                    grown.append((head + (c,), rest))
+                else:
+                    out.append(head + (c,) + zeros[i:])
+        live = grown
+    for head, budget in live:
         top = iroot(budget, p)
-        for c in range(-top, top + 1):
-            point[i] = c
-            rec(i + 1, budget - abs(c) ** p)
-        point[i] = 0
-
-    rec(0, s)
+        out += [head + (c,) for c in range(-top, top + 1)]
     out.sort()
     return DiscreteBall(n, token, tuple(out))
 
 
-@lru_cache(maxsize=None)
-def _count(n, budget, p):
-    if budget < 0:
-        return 0
-    if n == 1:
-        return 2 * iroot(budget, p) + 1
-    total = _count(n - 1, budget, p)
-    c = 1
-    while c**p <= budget:
-        total += 2 * _count(n - 1, budget - c**p, p)
-        c += 1
-    return total
+def _positive_tuple_counts(kmax, s, p):
+    """For k = 0..kmax, the number of k-tuples of positive integers whose
+    p-th powers sum to at most s."""
+    powers = [c**p for c in range(1, iroot(s, p) + 1)]
+    sums = {0: 1}  # power sum -> positive tuples of the current length
+    counts = [1]
+    for k in range(1, kmax + 1):
+        # the last coordinate of a k-tuple in closed form
+        counts.append(sum(m * iroot(s - u, p) for u, m in sums.items()))
+        if k == kmax:
+            break
+        grown = {}
+        for u, m in sums.items():
+            for w in powers:
+                if u + w > s:
+                    break
+                grown[u + w] = grown.get(u + w, 0) + m
+        sums = grown
+    return counts
 
 
 def ball_cardinality(n, token):
-    """|B_p^n(r)| without listing points: a cube for p = inf, and for the
-    Lee ball (p = 1) the sum over the k nonzero coordinates of
-    2^k C(n, k) C(s, k) (their signs, their positions, and the ways to
-    split at most s into k positive parts); other p count recursively.
+    """|B_p^n(r)| without listing points: a cube for p = inf, and otherwise
+    the sum over the k <= min(n, s) nonzero coordinates of 2^k C(n, k)
+    times the number of positive k-tuples whose p-th powers sum to at
+    most s (their signs, their positions, and their absolute values).
+    For the Lee ball (p = 1) that last number is C(s, k), the ways to
+    split at most s into k positive parts; other p count it by power sums.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     s = token.power_value
     if token.p == INF:
         return (2 * s + 1) ** n
+    kmax = min(n, s)
     if token.p == 1:
-        return sum(2**k * math.comb(n, k) * math.comb(s, k) for k in range(n + 1))
-    return _count(n, s, token.p)
+        positive = [math.comb(s, k) for k in range(kmax + 1)]
+    else:
+        positive = _positive_tuple_counts(kmax, s, token.p)
+    return sum(2**k * math.comb(n, k) * m for k, m in enumerate(positive))
 
 
 def difference_set(ball):

@@ -13,15 +13,18 @@ analogue holds, the neighborhood that must surround an endpoint cannot
 be completed, independently of any search window.
 
 The window search is a deterministic backtracker over bitmasks: cells
-are bits in lexicographic order, every tile is one shape shifted, and
-each uncovered cell keeps only the candidate tiles that leave every
-region cell below it free, which away from the region's lower faces
-is a single tile.
+are bits in reverse lexicographic order, so the least uncovered cell is
+the highest free bit, and every tile is one shape shifted.  A cell's
+candidate tiles are listed when the search first branches on it, and
+only those that leave every region cell before it free are kept, which
+away from the region's lower faces is a single tile.
 """
 
 from collections import namedtuple
 
-from .geometry import INF, RadiusToken, enumerate_ball
+from .geometry import INF, RadiusToken, check_ball_size
+# unused here, but the tracer of bench/run.py wraps tiler.enumerate_ball
+from .geometry import enumerate_ball  # noqa: F401
 
 __all__ = [
     "TileResult",
@@ -111,92 +114,112 @@ def tile_region(footprint, extent, budget=10**7):
     [-extent-r, extent+r]^n so no boundary-crossing tile is missed, and
     tiles must be disjoint everywhere (not only inside the region), as
     the restriction of any genuine tiling would be.  Backtracking always
-    branches on the lexicographically least uncovered region cell (the
-    lowest set bit of the free region mask), trying the centers whose
-    tile covers it in lexicographic order and counting one node per
-    disjoint tile placed, so node counts are reproducible.  Every region
-    cell below the branching cell is already covered, so a tile reaching
-    one of them must collide: such candidates are pruned once, before
-    the search, which leaves the traversal and the node count as they
-    would be without pruning.  The search keeps an explicit stack, so
-    its depth is not bounded by Python's recursion limit.
+    branches on the lexicographically least uncovered region cell,
+    trying the centers whose tile covers it in lexicographic order and
+    counting one node per disjoint tile placed, so node counts are
+    reproducible.  Cells are numbered in reverse lexicographic order, so
+    that cell is the highest set bit of the free region mask.
+
+    A cell's candidate tiles are listed the first time the search
+    branches on it, so the set-up costs nothing per region cell and a
+    run cut short by its budget lists only the cells it reached (a few
+    hundred on the benchmark instances).  Every region cell before the
+    branching cell is already covered, so a tile reaching one of them
+    must collide: such tiles are left out of the list, which leaves the
+    traversal and the node count as they would be without pruning.  The
+    search keeps an explicit stack, so its depth is not bounded by
+    Python's recursion limit.
+
+    Raises ValueError, before any work, when the region has more than
+    MAX_BALL_POINTS cells.
     """
     n = footprint.dimension
     r = _integer_radius_of(footprint)
     if extent < 1:
         raise ValueError("extent must be positive")
+    check_ball_size(n, RadiusToken(INF, extent))  # the region is that ball
 
     span = extent + 2 * r  # cells any candidate tile can touch
     width = 2 * span + 1
 
     def bit_index(pt):
-        # first coordinate in the highest digit: lexicographic = bit order
+        # first coordinate in the highest digit, reversed: the
+        # lexicographically least cell has the highest index
         idx = 0
         for c in pt:
-            idx = idx * width + (c + span)
+            idx = idx * width + (span - c)
         return idx
 
+    def point_of(idx):
+        pt = []
+        for _ in range(n):
+            idx, digit = divmod(idx, width)
+            pt.append(span - digit)
+        return pt[::-1]
+
     # Indices are linear in the point, so every tile is one shape shifted
-    # by the index of its lowest cell.  The tile at t - v covers t with
-    # its point v, which sits rise(v) bits above the tile's lowest cell.
-    offsets = {v: bit_index(v) for v in footprint.points}
-    low = min(offsets.values())
+    # by the index of its lowest cell.  The tile at t - v covers cell
+    # k = bit_index(t) with its point v, and its mask is the shape shifted
+    # by k - off(v) + low.
+    offsets = sorted((bit_index(v), v) for v in footprint.points)
+    low = offsets[0][0]
     shape = 0
-    for off in offsets.values():
+    for off, _ in offsets:
         shape |= 1 << (off - low)
-    # descending v gives the centers t - v in lexicographic order
-    rises = sorted(((off - low, v) for v, off in offsets.items()), reverse=True)
 
     # the region is a product of intervals, so its mask is a product of one
     # run of bits per axis
     region_mask = 1
     for i in range(n):
-        region_mask *= sum(1 << ((c + span) * width**i) for c in range(-extent, extent + 1))
+        region_mask *= sum(1 << ((span - c) * width**i) for c in range(-extent, extent + 1))
 
-    # region cell index -> (center, shift) of the tiles that cover the
-    # cell and leave every region cell below it free; a tile reaches at
-    # most `reach` bits below its cell, so only that window of the region
-    # is read: window bit b is the region cell k - reach + b
-    reach = rises[0][0]
-    candidates = {}
-    window, last = 0, 0
-    for t in enumerate_ball(n, RadiusToken(INF, extent)).points:  # lex order
-        k = bit_index(t)
-        window >>= k - last
-        candidates[k] = [
-            (tuple(a - b for a, b in zip(t, v)), k - rise)
-            for rise, v in rises
-            if not (window >> (reach - rise)) & shape
-        ]
-        window |= 1 << reach
-        last = k
+    def fits_of(k):
+        # ascending offset gives the centers t - v in lexicographic order;
+        # a tile that reaches a region cell above bit k must collide
+        t = point_of(k)
+        fits = []
+        for off, v in offsets:
+            mask = shape << (k - off + low)
+            if not (mask & region_mask) >> (k + 1):
+                fits.append((tuple(a - b for a, b in zip(t, v)), mask))
+        return fits
 
+    fits_at = {}  # branching cell -> its (center, mask) candidates
+    # Masks are board-sized, so the cache is emptied before it holds
+    # 2^28 board bits per candidate: a search that moves on through many
+    # cells, as on a long line, then keeps only the latest ones.
+    max_cells = max(1, 2**28 // width**n)
     nodes = 0
     chosen = [(0,) * n]
     occupied = shape << low  # the pre-placed origin tile
     free = region_mask & ~occupied
     # branch points with candidates left:
-    # (occupied, candidates, next position, len(chosen))
+    # (occupied, free, candidates, next position, len(chosen))
     stack = []
     while free:
-        fits = candidates[(free & -free).bit_length() - 1]
+        k = free.bit_length() - 1
+        fits = fits_at.get(k)
+        if fits is None:
+            if len(fits_at) >= max_cells:
+                fits_at.clear()
+            fits = fits_at[k] = fits_of(k)
         i = 0
         while True:  # the next disjoint candidate, backtracking as needed
-            while i < len(fits) and (occupied >> fits[i][1]) & shape:
+            while i < len(fits) and occupied & fits[i][1]:
                 i += 1
             if i < len(fits):
                 break
             if not stack:
                 return TileResult("impossible", extent, footprint, (), nodes)
-            occupied, fits, i, placed = stack.pop()
+            occupied, free, fits, i, placed = stack.pop()
             del chosen[placed:]
         nodes += 1
         if nodes > budget:
             return TileResult("inconclusive", extent, footprint, (), nodes)
-        c, shift = fits[i]
+        c, mask = fits[i]
         if i + 1 < len(fits):
-            stack.append((occupied, fits, i + 1, len(chosen)))
+            stack.append((occupied, free, fits, i + 1, len(chosen)))
         chosen.append(c)
-        occupied |= shape << shift
-        free = region_mask & ~occupied
+        occupied |= mask
+        free ^= mask & free
     return TileResult("completed", extent, footprint, tuple(chosen), nodes)

@@ -7,6 +7,7 @@ executed exactly twice through module-level caches.
 """
 
 import functools
+import itertools
 import json
 import random
 import subprocess
@@ -309,3 +310,24 @@ def test_criterion_17_lee_radius_2_in_dimensions_3_to_7():
         outcome = search_homomorphisms(n, RadiusToken(1, 2))
         assert (outcome.status, outcome.candidates_examined) == ("exhausted", count), n
     _stamp(17, "Lee radius 2, n = 3 to 7", t0, 60)
+
+
+def test_criterion_18_exhausted_lee_token_rules_out_codes_over_z5():
+    t0 = time.time()
+    # A linear code over Z_q that is perfect for radius power s, with 2r < q,
+    # lifts by Construction A to a lattice tiling of determinant |B|.  So the
+    # exhausted Lee token s = 2 at n = 3 (criterion 17) rules out such codes
+    # over Z_5, where 2r = 4 < 5.  Checked here without the walk: a perfect
+    # code has order 5^3 / |B| = 5, so one vector generates it.
+    token = RadiusToken(1, 2)
+    assert ball_cardinality(3, token) == 25
+    assert token.doubled().power_value < 5
+    # one generator per subgroup of order 5: its first nonzero coordinate is 1
+    generators = [
+        v for v in itertools.product(range(5), repeat=3) if any(v) and next(filter(None, v)) == 1
+    ]
+    assert len(generators) == 31
+    codes = [LinearCodeZq(5, 3, (v,)) for v in generators]
+    assert len({frozenset(code.codewords()) for code in codes}) == 31
+    assert not any(code_is_perfect(code, 1, token) for code in codes)
+    _stamp(18, "no perfect Lee radius-2 code over Z_5^3", t0, 60)

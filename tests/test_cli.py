@@ -63,6 +63,23 @@ def test_ball_far_over_the_size_guard_is_refused_before_counting():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("p", ["1", "2"])
+def test_ball_of_radius_1_in_dimension_3000(tmp_path, p):
+    # the origin and +-e_i: more coordinates than Python's recursion limit
+    out = tmp_path / "ball.json"
+    proc = run("ball", "--n", "3000", "--p", p, "--s", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with open(out) as fh:  # each point opens one list at indent 4
+        assert sum(line == "    [\n" for line in fh) == 6001
+
+
+def test_ball_over_the_size_guard_in_dimension_3000_exits_1():
+    proc = run("ball", "--n", "3000", "--p", "2", "--s", "5", timeout=30)
+    assert proc.returncode == 1
+    assert "more than MAX_BALL_POINTS" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_search_stops_at_the_difference_set_guard():
     # s <= 3 still run; at s = 4 the ball of twice the radius has 3,083,569 points
     proc = run("search", "--n", "10", "--p", "2", "--s-max", "100", "--budget", "10", timeout=30)

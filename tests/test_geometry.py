@@ -185,6 +185,17 @@ def test_lee_ball_count_is_closed_form():
     assert time.perf_counter() - start < 0.5
 
 
+def test_ball_count_in_high_dimension():
+    # the origin and +-e_i at s = 1; at s = 5 up to five coordinates are nonzero
+    for p in (1, 2, 3):
+        assert ball_cardinality(3000, RadiusToken(p, 1)) == 6001
+    n = 3000
+    count = 1 + 2 * n + 4 * math.comb(n, 2) + 8 * math.comb(n, 3) + 16 * math.comb(n, 4)
+    count += 32 * math.comb(n, 5) + 2 * n + 4 * n * (n - 1)  # then +-2e_i and +-2e_i +- e_j
+    assert ball_cardinality(n, RadiusToken(2, 5)) == count
+    assert enumerate_ball(2000, RadiusToken(3, 1)).cardinality == 4001
+
+
 def test_enumerate_ball_refuses_balls_over_the_size_guard(monkeypatch):
     assert ball_cardinality(4, RadiusToken(2, 79)) <= geometry.MAX_BALL_POINTS
     # the ball holds the cube of half-side iroot(100 // 10, 2) = 3, which already has 7^10 points

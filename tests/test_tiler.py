@@ -1,6 +1,7 @@
 """Bounded-region tiling search and the endpoint non-tiling criteria."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -80,20 +81,63 @@ def test_radius2_disk_tiles_square_region():
     assert result.nodes == 12027
 
 
-def test_radius2_completed_is_exact_cover():
-    result = tile_region(BALL_R2, 10)
+def assert_exact_cover(ball, centers, extent):
     counts = {}
-    for center in result.centers:
-        for v in BALL_R2.points:
+    for center in centers:
+        for v in ball.points:
             cell = tuple(c + d for c, d in zip(center, v))
             counts[cell] = counts.get(cell, 0) + 1
-    region = {
-        v for v in itertools.product(range(-10, 11), repeat=2)
-    }
+    region = itertools.product(range(-extent, extent + 1), repeat=ball.dimension)
     for v in region:
         assert counts.get(v, 0) == 1, v
     # tiles may stick out of the region but never overlap each other
     assert all(c == 1 for c in counts.values())
+
+
+def test_radius2_completed_is_exact_cover():
+    assert_exact_cover(BALL_R2, tile_region(BALL_R2, 10).centers, 10)
+
+
+# the plane instances of the tile-region benchmark, with their pinned node counts
+@pytest.mark.parametrize("s,extent,status,nodes", [
+    (4, 13, "completed", 296659),
+    (9, 16, "impossible", 42027),
+    (16, 16, "impossible", 47375),
+])
+def test_benchmark_disk_instances(s, extent, status, nodes):
+    ball = enumerate_ball(2, RadiusToken(2, s))
+    result = tile_region(ball, extent, budget=10**6)
+    assert (result.status, result.nodes) == (status, nodes)
+    if status == "completed":
+        assert len(result.centers) == 73
+        assert result.centers[0] == (0, 0)
+        assert_exact_cover(ball, result.centers, extent)
+
+
+def test_large_region_lists_candidates_only_where_it_branches():
+    # 601^2 region cells on a 609^2-bit board, but with budget 0 the search
+    # lists the candidates of one cell before it stops
+    tracemalloc.start()
+    try:
+        result = tile_region(BALL_R2, 300, budget=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.status, result.nodes) == ("inconclusive", 1)
+    assert peak < 20 * 2**20
+
+
+def test_long_line_keeps_the_candidate_cache_bounded():
+    # the search branches on at least 20,000 cells of a 60,005-bit board:
+    # kept, their masks would take about 140 MB
+    tracemalloc.start()
+    try:
+        result = tile_region(enumerate_ball(1, RadiusToken(2, 1)), 30000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.status, len(result.centers)) == ("completed", 20001)
+    assert peak < 64 * 2**20
 
 
 def test_radius3_disk_cannot_tile():
