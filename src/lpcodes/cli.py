@@ -8,6 +8,7 @@ same manifest; wall time goes to stderr only.  Exit codes: 0 success,
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -87,10 +88,47 @@ def _manifest(sub, args, skip=("func", "out", "svg_out", "subcommand")):
     return {"subcommand": sub, "parameters": params, "version": __version__}
 
 
+def _pieces(obj, pad=""):
+    """The text of json.dumps(obj, sort_keys=True, indent=2), in pieces.
+
+    json's C encoder takes no indent, so lists of ints and lists of
+    equal-length int rows (points, the bulk of a large artifact) are
+    formatted here, a block of rows per %-format, and json writes the rest.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        sep = "{"
+        for key in sorted(obj):
+            yield f"{sep}\n{inner}{json.dumps(key)}: "
+            yield from _pieces(obj[key], inner)
+            sep = ","
+        yield f"\n{pad}}}"
+    elif not isinstance(obj, (list, tuple)) or not obj:
+        yield json.dumps(obj)
+    elif set(map(type, obj)) == {int}:
+        yield f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{pad}]"
+    elif (set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1
+          and set(map(type, itertools.chain.from_iterable(obj))) == {int}):
+        row = f"[\n{inner}  " + f",\n{inner}  ".join(["%d"] * len(obj[0])) + f"\n{inner}]"
+        step = 2**16 // len(obj[0]) + 1  # rows per block: about 2^16 ints
+        for i in range(0, len(obj), step):
+            block = obj[i:i + step]
+            yield (f",\n{inner}" if i else f"[\n{inner}") + f",\n{inner}".join(
+                [row] * len(block)) % tuple(itertools.chain.from_iterable(block))
+        yield f"\n{pad}]"
+    else:
+        sep = "["
+        for item in obj:
+            yield f"{sep}\n{inner}"
+            yield from _pieces(item, inner)
+            sep = ","
+        yield f"\n{pad}]"
+
+
 def _emit(obj, out):
     # streamed: a large artifact is never held as one string
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.writelines(_pieces(obj))
         fh.write("\n")
 
 

@@ -7,6 +7,7 @@ to integer comparisons, so balls, difference sets and overlap tests are
 exact for any exponent and any size input.
 """
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -191,17 +192,24 @@ class DiscreteBall(namedtuple("DiscreteBall", "dimension radius points")):
         }
 
 
-class DifferenceSet(namedtuple("DifferenceSet", "dimension source_radius points")):
-    """The set B - B of pairwise differences of a ball's points.
+class DifferenceSet(namedtuple("DifferenceSet", "dimension source_radius reach")):
+    """The set B - B of pairwise differences of a ball's points, by fibres.
 
-    source_radius is the RadiusToken of that ball.
+    source_radius is the RadiusToken of that ball.  reach maps each prefix
+    u = v[:n-1] of B - B to the largest t with (u, t) in B - B; the fibre
+    over u is the interval [-t, t].  points lists them in sorted order.
     """
 
     __slots__ = ()
 
     @property
+    def points(self):
+        reach = self.reach
+        return tuple(u + (t,) for u in sorted(reach) for t in range(-reach[u], reach[u] + 1))
+
+    @property
     def cardinality(self):
-        return len(self.points)
+        return sum(2 * t + 1 for t in self.reach.values())
 
     def to_json(self):
         return {
@@ -313,12 +321,13 @@ def ball_cardinality(n, token):
 
 
 def difference_set(ball):
-    """B - B as an explicit sorted point set.
+    """B - B as a DifferenceSet: one interval per last-axis prefix.
 
     Every last-axis fibre of an l_p ball or a cube is a centred interval
     [-h_a, h_a] over its prefix a, so B - B holds (u, t) exactly when
     |t| <= max(h_a + h_b) over prefix pairs with a - b = u.  Only pairs
-    of prefixes are visited, not pairs of points.
+    of prefixes are visited, not pairs of points, each prefix coded as an
+    int in signed digits of base 4 top + 1, so a - b is one subtraction.
 
     Raises ValueError, before visiting any pair, when the ball of twice
     the radius, which contains B - B, has more than MAX_BALL_POINTS points.
@@ -331,17 +340,28 @@ def difference_set(ball):
             f"{bound} points (the ball of twice the radius), more than MAX_BALL_POINTS = "
             f"{MAX_BALL_POINTS}"
         )
-    heights = {}
-    for *a, t in ball.points:
-        a = tuple(a)
-        heights[a] = max(heights.get(a, t), t)
+    top = token.floor_radius()
+    w = 4 * top + 1
+    # the points are sorted, so a fibre [-h, h] starts with h's negative
+    # and the next one 2h + 1 points later
+    pts, coded, i = ball.points, [], 0
+    while i < len(pts):
+        h = -pts[i][-1]
+        coded.append((functools.reduce(lambda key, c: key * w + c, pts[i][:-1], 0), h))
+        i += 2 * h + 1
     reach = {}
-    for a, ha in heights.items():
-        for b, hb in heights.items():
-            u = tuple(x - y for x, y in zip(a, b))
-            reach[u] = max(reach.get(u, 0), ha + hb)
-    diffs = tuple(u + (t,) for u in sorted(reach) for t in range(-reach[u], reach[u] + 1))
-    return DifferenceSet(ball.dimension, ball.radius, diffs)
+    for ka, ha in coded:
+        for kb, hb in coded:
+            if reach.get(key := ka - kb, -1) < ha + hb:
+                reach[key] = ha + hb
+    fibres = {}
+    for key, t in reach.items():
+        u = []
+        for _ in range(n - 1):
+            key, c = divmod(key + 2 * top, w)
+            u.append(c - 2 * top)
+        fibres[tuple(u[::-1])] = t
+    return DifferenceSet(n, token, fibres)
 
 
 def balls_overlap(v, n, token):

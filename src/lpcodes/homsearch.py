@@ -127,25 +127,29 @@ class GroupHomomorphism(namedtuple("GroupHomomorphism", "group images")):
         }
 
 
-def _slices(diffs, n):
-    """Difference vectors keyed by highest nonzero coordinate j, upper half.
+def _slices(reach, n):
+    """B - B keyed by highest nonzero coordinate j, upper half, from its fibres.
 
-    Level j maps each prefix u = v[:j] to its top, the largest v_j > 0
-    over v = (u, v_j, 0, ..., 0) in B - B; the negated vectors add
-    nothing (the lattice is symmetric), and B - B is an interval along
-    every axis, so v_j runs over 1..top.  Each level is (tops, columns)
-    with the prefixes by ascending top, columns[i] their i-th coordinates.
+    reach is DifferenceSet.reach: prefix u = v[:n-1] -> t, the fibre over
+    u being [-t, t].  Level j maps each prefix u = v[:j] to its top, the
+    largest v_j > 0 over v = (u, v_j, 0, ..., 0) in B - B: at level n - 1
+    that is t itself, and below it the largest u[j] > 0 over the prefixes
+    with u[j+1:] all zero.  The negated vectors add nothing (the lattice
+    is symmetric), and B - B is an interval along every axis, so v_j runs
+    over 1..top.  Each level is (tops, columns) with the prefixes by
+    ascending (top, prefix), columns[i] their i-th coordinates.
     """
     out = [{} for _ in range(n)]
-    for v in diffs:
-        j = n - 1
-        while j >= 0 and v[j] == 0:
+    out[n - 1] = {u: t for u, t in reach.items() if t}
+    for u in reach:
+        j = n - 2
+        while j >= 0 and u[j] == 0:
             j -= 1
-        if j >= 0 and v[j] > 0:
-            out[j][v[:j]] = max(out[j].get(v[:j], 0), v[j])
+        if j >= 0 and u[j] > 0:
+            out[j][u[:j]] = max(out[j].get(u[:j], 0), u[j])
     levels = []
     for j, level in enumerate(out):
-        items = sorted(level.items(), key=lambda item: item[1])
+        items = sorted(level.items(), key=lambda item: (item[1], item[0]))
         levels.append(([top for _, top in items], [[u[i] for u, _ in items] for i in range(j)]))
     return levels
 
@@ -457,7 +461,7 @@ def search_homomorphisms(n, token, budget=DEFAULT_BUDGET):
         return TokenOutcome(n, token, "skipped", 0, None, None, 0)
     ball = enumerate_ball(n, token)
     m = ball.cardinality
-    slices = _slices(difference_set(ball).points, n)
+    slices = _slices(difference_set(ball).reach, n)
     counter = [0, 0]
     try:
         kernel = _find_kernel(n, m, slices, budget, counter)

@@ -11,7 +11,7 @@ from collections import namedtuple
 from functools import lru_cache
 
 from . import distance_sets, intmath, lattices
-from .geometry import INF, RadiusToken, norm_power, plee_distance
+from .geometry import INF, MAX_BALL_POINTS, RadiusToken, norm_power, plee_distance
 from .lattices import IntegerLattice
 
 __all__ = [
@@ -102,28 +102,47 @@ def code_minimum_distance(code, p):
 
 
 def zq_ball(q, n, token):
-    """Residue vectors of Z_q^n within p-Lee token radius of zero.
+    """Residue vectors of Z_q^n within p-Lee token radius of zero, sorted.
 
     The cardinality can differ from the Z^n ball count once 2r >= q.
+    Raises ValueError, before listing any word, for a ball of more than
+    MAX_BALL_POINTS words.
     """
-    p = token.p
-    costs = [norm_power((min(a, q - a),), p) for a in range(q)]
-    out = []
-    vec = [0] * n
-
-    def rec(i, budget):
-        if i == n:
-            out.append(tuple(vec))
-            return
-        for a, cost in enumerate(costs):
-            if cost <= budget:
-                vec[i] = a
-                # the sup metric bounds each coordinate alone
-                rec(i + 1, budget if p == INF else budget - cost)
-        vec[i] = 0
-
-    rec(0, token.power_value)
-    return sorted(out)
+    s = token.power_value
+    # (residue, cost) pairs a coordinate may take; the sup metric bounds
+    # each coordinate alone, so there a coordinate costs nothing
+    allowed = [(a, 0 if token.p == INF else c) for a in range(q)
+               if (c := norm_power((min(a, q - a),), token.p)) <= s]
+    # words of each length by the budget they leave; a longer word never
+    # has fewer, so the count refuses as soon as it passes the guard
+    left, size = {s: 1}, 1
+    for _ in range(n):
+        grown, size = {}, 0
+        for budget, m in left.items():
+            for _, c in allowed:
+                if c <= budget:
+                    grown[budget - c] = grown.get(budget - c, 0) + m
+                    size += m
+                    if size > MAX_BALL_POINTS:
+                        raise ValueError(
+                            f"the p-Lee ball q={q}, n={n}, p={token.json_p()}, s={s} has more "
+                            f"than MAX_BALL_POINTS = {MAX_BALL_POINTS} words")
+        left = grown
+    # grow prefixes level by level; one whose budget buys no nonzero residue ends in zeros
+    least = min((c for a, c in allowed if a), default=s + 1)
+    zeros = (0,) * n
+    out, live = [], [((), s)]
+    for i in range(n):
+        grown = []
+        for head, budget in live:
+            if budget < least:
+                out.append(head + zeros[i:])
+            else:
+                grown += [(head + (a,), budget - c) for a, c in allowed if c <= budget]
+        live = grown
+    out += [head for head, _ in live]
+    out.sort()
+    return out
 
 
 def _balls_disjoint(code, words, token):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, manifests, SVG."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -46,6 +47,31 @@ def test_ball_sup_metric():
     obj = json.loads(proc.stdout)
     assert obj["manifest"]["parameters"]["p"] == "inf"
     assert len(obj["points"]) == 9
+
+
+# SHA-256 of the ball --diff artifact without its manifest, fixed before
+# B - B was kept as fibres: (n, p, s) -> digest
+DIFF_SHA256 = {
+    (2, 2, 5): "ed0ceecac7825284988bfc0d99514d525ab27424a0d5f635d1f3aa75adf44e08",
+    (3, 1, 2): "ce701868c227ddd91cc6bef944c4307735879111f02093f771df5cccc15afef5",
+    (2, "inf", 1): "2d2640fafe3cd6c6e77187769324070a8d6570901ddfdde0a2228e8e1f1af77d",
+    (3, 3, 10): "53c56dc5aa71b0dac17880d4b3d04c6cdf24a3f1d37a5bbd28f79a9a2c83c031",
+    (1, 2, 4): "2fefc651c2ac44c3733409847069cb57a03ef5b0b852cbf81c350864907da573",
+    (4, 2, 3): "1aa92bba75607ec54758a595b18dbfd97cc20887486e216ced878c296f5eb75c",
+    (2, 2, 90): "09299e85f5f0cd3986ae52738374cc7d1c53087ea97f7aaaef70dff9283d819d",
+}
+
+
+@pytest.mark.parametrize("n, p, s", list(DIFF_SHA256))
+def test_ball_diff_artifact_is_byte_identical(tmp_path, monkeypatch, n, p, s):
+    emit, payloads = cli._emit, []
+    monkeypatch.setattr(cli, "_emit", lambda obj, out: payloads.append(obj))
+    assert cli.main(["ball", "--n", str(n), "--p", str(p), "--s", str(s), "--diff"]) == 0
+    (payload,) = payloads
+    del payload["manifest"]
+    emit(payload, tmp_path / "diff.json")
+    digest = hashlib.sha256((tmp_path / "diff.json").read_bytes()).hexdigest()
+    assert digest == DIFF_SHA256[n, p, s]
 
 
 def test_ball_over_the_size_guard_exits_1_quickly():
@@ -230,6 +256,15 @@ def test_code_check_perfect_requires_s():
     assert proc.returncode == 1
 
 
+def test_code_check_perfect_over_the_ball_guard_exits_1():
+    # the Lee ball of s = 10 in Z_5^10 has more than a million words
+    proc = run("code", "--q", "5", "--n", "10", "--gen", "1,1,1,1,1,1,1,1,1,1", "--p", "1",
+               "--check-perfect", "--s", "10", timeout=60)
+    assert proc.returncode == 1
+    assert "more than MAX_BALL_POINTS" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 # --------------------------------------------------------------- search
 
 def test_search_emits_manifest_then_outcome_lines():
@@ -378,6 +413,44 @@ def test_render_rejects_garbage(tmp_path):
     art.write_text("not json at all")
     proc = run("render", "--input", str(art), "--svg", str(tmp_path / "x.svg"))
     assert proc.returncode == 1
+
+
+# ------------------------------------------------------------- encoding
+
+@pytest.mark.parametrize("argv", [
+    "ball --n 2 --p 2 --s 5",
+    "ball --n 3 --p inf --s 1 --diff",
+    "verify --basis 5,0;3,1 --p 1 --s 1",
+    "verify --basis 4,0;0,4 --p 2 --s 2",
+    "code --q 5 --n 2 --gen 1,2 --p 1 --check-perfect --s 1 --transfer",
+    "bounds",
+    "bounds --table1",
+    "bounds --survivors --n 3",
+    "distances --p 2 --n 2 --limit 30",
+    "distances --p inf --n 3 --limit 4 --q 5",
+    "tile-region --n 2 --p 2 --r 1 --extent 5",
+    "tile-region --n 2 --p 2 --r 3 --extent 16 --budget 1000",
+])
+def test_artifacts_are_written_as_json_dumps_writes_them(tmp_path, monkeypatch, argv):
+    emit, payloads = cli._emit, []
+
+    def recording_emit(obj, out):
+        payloads.append(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        emit(obj, out)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    out = tmp_path / "artifact.json"
+    assert cli.main(argv.split() + ["--out", str(out)]) in (0, 2)
+    assert [out.read_text()] == payloads
+
+
+def test_emit_formats_every_json_value_as_json_dumps_does(tmp_path):
+    obj = {"a": [], "b": {}, "c": [[1, 2], [], [3]], "d": None, "e": 1.5, "f": True,
+           "g": [True, 1], "h": "x\u00e9", "i": (1, -2), "j": [{"k": [[1], [2]]}],
+           "l": [[1, True], [2, 3]], "m": [(4, 5), [6, 7]], "n": [[0.5, 1]], "o": [[None]],
+           "p": [[10**30, -1]] * 70000}
+    cli._emit(obj, tmp_path / "obj.json")
+    assert (tmp_path / "obj.json").read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # ------------------------------------------------------------ exit codes

@@ -299,14 +299,19 @@ def test_difference_set_contains_ball_and_is_symmetric():
 @pytest.mark.parametrize("p", [1, 2, 3, INF])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_difference_set_matches_pairwise_definition(p, n):
-    # reference: every difference of two ball points, in sorted order
+    # reference: every difference of two ball points, in sorted order; the
+    # fibres list them, and count them without listing
     for s in (0, 1, 2, 3, 5, 9, 16):
         if ball_cardinality(n, RadiusToken(p, s)) > 400:
             break
         ball = enumerate_ball(n, RadiusToken(p, s))
         pts = ball.points
         pairwise = sorted({tuple(a - b for a, b in zip(x, y)) for x in pts for y in pts})
-        assert list(difference_set(ball).points) == pairwise, s
+        dset = difference_set(ball)
+        assert list(dset.points) == pairwise, s
+        assert dset.cardinality == len(pairwise), s
+        # one centred interval per last-axis prefix
+        assert dset.reach == {v[:-1]: v[-1] for v in pairwise}, s
 
 
 def test_difference_set_is_overlap_set():

@@ -7,6 +7,7 @@ outcomes for every radius the dimension-2 and dimension-3
 classifications touch.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -34,7 +35,14 @@ from group_helpers import (
 from hypothesis import given, settings, strategies as st
 
 from lpcodes import distance_sets, homsearch
-from lpcodes.geometry import INF, RadiusToken, difference_set, enumerate_ball
+from lpcodes.geometry import (
+    INF,
+    DifferenceSet,
+    RadiusToken,
+    ball_cardinality,
+    difference_set,
+    enumerate_ball,
+)
 from lpcodes.homsearch import (
     DEFAULT_BUDGET,
     AbelianGroupSpec,
@@ -563,7 +571,7 @@ def test_exhausted_walks_rule_out_every_index_m_lattice(n, p, s_max):
         if not distance_sets.is_achievable(p, n, s):
             continue
         ball = enumerate_ball(n, RadiusToken(p, s))
-        slices = homsearch._slices(difference_set(ball).points, n)
+        slices = homsearch._slices(difference_set(ball).reach, n)
         counter = [0, 0]
         if homsearch._find_kernel(n, ball.cardinality, slices, DEFAULT_BUDGET, counter) is None:
             exhausted += 1
@@ -576,10 +584,10 @@ def test_quotient_scan_matches_reduction(rows):
     # prefixes in a box with assorted tops, as level 2 of some B - B in Z^3
     diffs = [(a, b, t) for a in range(-4, 5) for b in range(-4, 5)
              for t in range(1, 1 + (a * a + 3 * b * b + 2 * a) % 5)]
-    level = homsearch._slices(diffs, 3)[2]
     tops = {}
     for a, b, t in diffs:
         tops[a, b] = max(tops.get((a, b), 0), t)
+    level = homsearch._slices(tops, 3)[2]  # tops as the fibres of B - B over (a, b)
     radix = [rows[0][0], rows[1][1]]
     quotient = homsearch._Quotient(rows, radix, level, 1)
     assert quotient.order == radix[0] * radix[1]
@@ -599,6 +607,34 @@ def test_quotient_scan_matches_reduction(rows):
             got.append(hit)
             hi = hit - 1
         assert got == expected, d
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, INF])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_slices_from_fibres_match_the_pairwise_difference_set(p, n):
+    # the levels read off the fibres of B - B equal those of every pairwise
+    # difference, each level ordered by ascending (top, prefix)
+    for s in range(40):
+        if ball_cardinality(n, RadiusToken(p, s)) > 150:
+            break
+        pts = enumerate_ball(n, RadiusToken(p, s)).points
+        pairwise = {tuple(a - b for a, b in zip(x, y)) for x in pts for y in pts}
+        levels = homsearch._slices(difference_set(enumerate_ball(n, RadiusToken(p, s))).reach, n)
+        got = []
+        for j, (tops, columns) in enumerate(levels):
+            items = list(zip(zip(*columns) if j else [()] * len(tops), tops))
+            assert [(top, u) for u, top in items] == sorted((top, u) for u, top in items)
+            got.append(sorted(items))
+        assert got == reference_slices(pairwise, n), (p, n, s)
+
+
+def test_search_never_lists_difference_points(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the search expanded B - B into points")
+
+    monkeypatch.setattr(DifferenceSet, "points", property(refuse))
+    assert classify(2, 1, 18).found_tokens == tuple(range(1, 19))
+    assert classify(3, 2, 9).found_tokens == (1, 3)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -719,3 +755,19 @@ def test_classify_serialization_shape():
     assert first["n"] == 2 and first["p"] == 2 and first["s"] == 1
     assert first["status"] == "found"
     assert list(first) == sorted(first)  # keys sorted for reproducible bytes
+
+
+# SHA-256 of the search JSON lines, manifest line excluded, for the three
+# benchmark sweeps and the l_3 sweep of Z^3; fixed before B - B was kept as fibres
+SWEEP_SHA256 = {
+    (2, 2, 90): "6add2caf25510afd48f8a662b0ebd44d60880b30660a7b035b64c4ed6dc396eb",
+    (3, 2, 9): "f1f7aa135071909bf7b03ce07baf1896b7a307b0a5c445aecc8a26705846f370",
+    (2, 1, 18): "4cffbd83d1cbec39b6b63c3f81725ea8a928b324d621998c449ec370cc604256",
+    (3, 3, 20): "25d2ba3a6a18575cab5ff47bd0a8fcac8365fa6fae5a606670a352855a402457",
+}
+
+
+@pytest.mark.parametrize("n, p, s_max", list(SWEEP_SHA256))
+def test_sweep_artifacts_are_byte_identical(n, p, s_max):
+    lines = classify(n, p, s_max).to_json_lines().encode()
+    assert hashlib.sha256(lines).hexdigest() == SWEEP_SHA256[n, p, s_max]

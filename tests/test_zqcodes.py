@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from group_helpers import all_linear_codes
 
+from lpcodes import zqcodes
 from lpcodes.geometry import INF, RadiusToken, plee_distance
 from lpcodes.lattices import minimum_distance as lattice_min_distance
 from lpcodes.lattices import packing_radius as lattice_packing_radius
@@ -87,6 +89,44 @@ def test_zq_ball_agrees_with_distance_predicate():
         for x in itertools.product(range(q), repeat=n):
             d = plee_distance(x, (0,) * n, q, token.p)
             assert (x in ball) == (d.power_value <= token.power_value), (q, n, token, x)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, INF])
+def test_zq_ball_is_the_sorted_list_of_words_within_the_radius(p):
+    for q, n in ((2, 4), (3, 3), (4, 3), (5, 2), (6, 2), (7, 1)):
+        words = list(itertools.product(range(q), repeat=n))
+        for s in range(0, 2 * q**2):
+            expect = [x for x in words if plee_distance(x, (0,) * n, q, p).power_value <= s]
+            assert zq_ball(q, n, RadiusToken(p, s)) == expect, (q, n, s)
+
+
+def test_zq_ball_in_dimension_1200():
+    # more coordinates than Python's recursion limit: 0, e_i and -e_i = 2 e_i
+    words = zq_ball(3, 1200, RadiusToken(1, 1))
+    assert len(words) == 2401
+    units = {tuple(c if k == i else 0 for k in range(1200)) for i in range(1200) for c in (1, 2)}
+    assert set(words) == units | {(0,) * 1200}
+
+
+@pytest.mark.parametrize("q, n, token", [
+    (5, 10, RadiusToken(1, 10)),
+    (3, 1000, RadiusToken(1, 3)),
+    (3, 3000, RadiusToken(2, 5)),
+    (1000, 3, RadiusToken(INF, 400)),
+])
+def test_zq_ball_over_the_guard_is_refused_before_listing(q, n, token):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="more than MAX_BALL_POINTS"):
+        zq_ball(q, n, token)
+    assert time.perf_counter() - start < 10
+
+
+def test_zq_ball_guard_counts_words_exactly(monkeypatch):
+    monkeypatch.setattr(zqcodes, "MAX_BALL_POINTS", 13)
+    assert len(zq_ball(13, 2, RadiusToken(2, 4))) == 13
+    monkeypatch.setattr(zqcodes, "MAX_BALL_POINTS", 12)
+    with pytest.raises(ValueError, match="q=13, n=2, p=2, s=4"):
+        zq_ball(13, 2, RadiusToken(2, 4))
 
 
 # ----------------------------------------------- distances, packing radii
