@@ -241,11 +241,18 @@ def cmd_bounds(args):
     return 0
 
 
+def _usable_cores():
+    """The cores this process may run on (taskset limits them), else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_tile_region(args):
     from . import tiler
 
     footprint = enumerate_ball(args.n, RadiusToken.from_radius(args.p, args.r))
-    result = tiler.tile_region(footprint, args.extent, budget=args.budget)
+    result = tiler.tile_region(footprint, args.extent, budget=args.budget, jobs=_usable_cores())
     payload = result.to_json()
     payload["manifest"] = _manifest("tile-region", args)
     _emit(payload, args.out)

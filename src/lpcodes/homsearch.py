@@ -47,10 +47,8 @@ residues examined, the rejected residues in bulk, and the budget bounds
 that count: a search that runs out records budget + 1.
 """
 
-import contextlib
 import itertools
 import json
-import os
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cache, reduce
@@ -492,97 +490,29 @@ def _classify_token(n, p, s, budget):
     return search_homomorphisms(n, RadiusToken(p, s), budget)
 
 
-def _run_share(n, p, share, budget):
-    """(outcomes, exception or None): the share's tokens in ascending order,
-    up to the first one that raises."""
-    outcomes = []
-    try:
-        for s in share:
-            outcomes.append(_classify_token(n, p, s, budget))
-    except Exception as exc:
-        return outcomes, exc
-    return outcomes, None
-
-
-def _search_in_child(write_fd, n, p, share, budget):
-    """Run a share in a forked child, pickle the result to write_fd, and exit.
-
-    The child always leaves by os._exit, so nothing the parent buffered
-    or registered (stdout, atexit, a test harness's capture) runs twice.
-    It exits 0 only once the whole payload is written.
-    """
-    import pickle
-
-    code = 1
-    try:
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(_run_share(n, p, share, budget)))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _search_tokens(n, p, tokens, budget, jobs):
-    """search_homomorphisms over the ascending tokens on up to `jobs` processes.
-
-    The tokens, largest first, are dealt round-robin into k = min(jobs,
-    #tokens) shares; the caller runs share 0 and a forked child each of
-    the others.  Every share runs in ascending order and stops at its
-    first exception, so the one of the least failing token, raised here,
-    is the one a serial run raises.
-    """
-    k = max(1, min(jobs, len(tokens))) if hasattr(os, "fork") else 1
-    order = tokens[::-1]
-    shares = [sorted(order[i::k]) for i in range(k)]
-    if k > 1:  # a serial run loads neither
-        import pickle
-        import signal
-    children = []  # (pid, read end of its pipe) until reaped
-    try:
-        for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read_fd)
-                _search_in_child(write_fd, n, p, share, budget)
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        results = [_run_share(n, p, shares[0], budget)]
-        while children:
-            pid, pipe = children[0]
-            payload = pipe.read()
-            pipe.close()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if code != 0:
-                raise RuntimeError(
-                    f"a search process exited with {code} before reporting its tokens")
-            results.append(pickle.loads(payload))
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-    failures = [(share[len(outs)], exc) for share, (outs, exc) in zip(shares, results) if exc]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    by_s = {o.token.power_value: o for outs, _ in results for o in outs}
-    return [by_s[s] for s in tokens]
-
-
 def classify(n, p, s_max, budget=DEFAULT_BUDGET, jobs=1):
     """Classify every achievable token 1 <= s <= s_max for (n, p).
 
     s = 0 is excluded as trivial (the ball is the origin and Z^n itself
-    tiles).  jobs counts the processes that search, the caller included;
-    at most one runs per token, and without os.fork the caller searches
-    alone.  Each found homomorphism's kernel is independently re-verified
-    as a perfect code, and the certificate is attached.
+    tiles).  jobs counts the processes that search, the caller included:
+    with jobs > 1 the ascending tokens are dealt round-robin by
+    forkmap.ordered_map, at most one process per token, and the
+    outcomes come back in token order.  The first error in token order
+    is raised, as a serial run raises it; without os.fork the caller
+    searches alone.  Each found homomorphism's kernel is independently
+    re-verified as a perfect code, and the certificate is attached.
     """
     tokens = [s for s in distance_sets.enumerate_achievable(p, n, s_max).achievable if s >= 1]
-    outcomes = _search_tokens(n, p, tokens, budget, jobs)
+
+    def search(s):
+        return _classify_token(n, p, s, budget)
+
+    if jobs > 1:  # a serial run loads no fork machinery
+        from .forkmap import ordered_map
+
+        outcomes = list(ordered_map(search, tokens, jobs))
+    else:
+        outcomes = map(search, tokens)
     verified = []
     for out in outcomes:
         if out.status == "found":

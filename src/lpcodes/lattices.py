@@ -8,6 +8,8 @@ reduce to integer comparisons via RadiusToken power values.
 """
 
 from collections import namedtuple
+from itertools import repeat
+from operator import add, mul
 
 from . import distance_sets
 from .geometry import (
@@ -103,31 +105,34 @@ class IntegerLattice(namedtuple("IntegerLattice", "n basis determinant")):
         return True
 
     def enumerate_in_box(self, box_radius):
-        """All lattice points with sup norm <= box_radius, sorted."""
+        """All lattice points with sup norm <= box_radius, sorted.
+
+        Fixes the coefficient of one basis row per level, the last row
+        first, so the depth is not bounded by Python's recursion limit.
+        Row i is the last to touch coordinate i, so once its coefficient
+        is chosen that coordinate is final and must lie in the box.
+        """
         if box_radius < 0:
             raise ValueError("box radius must be nonnegative")
-        n, basis = self.n, self.basis
+        # (coordinates 0..i, still moved by rows up to i; final coordinates)
+        level = [((0,) * self.n, ())]
+        for i in range(self.n - 1, 0, -1):
+            row = self.basis[i]
+            d = row[i]
+            grown = []
+            for head, tail in level:
+                x, rest = head[i], head[:i]
+                for c in range(-((box_radius + x) // d), (box_radius - x) // d + 1):
+                    moved = tuple(map(add, rest, map(mul, row, repeat(c)))) if c else rest
+                    grown.append((moved, (x + c * d,) + tail))
+            level = grown
+        d = self.basis[0][0]
         out = []
-        partial = [0] * n
-
-        def rec(i):
-            if i < 0:
-                out.append(tuple(partial))
-                return
-            d = basis[i][i]
-            lo = -((box_radius + partial[i]) // d)
-            hi = (box_radius - partial[i]) // d
-            for c in range(lo, hi + 1):
-                if c:
-                    for j in range(i + 1):
-                        partial[j] += c * basis[i][j]
-                rec(i - 1)
-                if c:
-                    for j in range(i + 1):
-                        partial[j] -= c * basis[i][j]
-
-        rec(n - 1)
-        return sorted(out)
+        for (x,), tail in level:
+            lo, hi = -((box_radius + x) // d), (box_radius - x) // d
+            out += [(x + c * d,) + tail for c in range(lo, hi + 1)]
+        out.sort()
+        return out
 
     def to_json(self):
         return {"n": self.n, "basis": [list(r) for r in self.basis]}

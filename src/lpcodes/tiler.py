@@ -17,7 +17,10 @@ are bits in reverse lexicographic order, so the least uncovered cell is
 the highest free bit, and every tile is one shape shifted.  A cell's
 candidate tiles are listed when the search first branches on it, and
 only those that leave every region cell before it free are kept, which
-away from the region's lower faces is a single tile.
+away from the region's lower faces is a single tile.  The subtrees below
+the root cell's candidates are independent searches, so they can run on
+several processes (forkmap.ordered_map) and be combined in candidate
+order into the serial search's outcome.
 """
 
 from collections import namedtuple
@@ -107,7 +110,7 @@ class TileResult(namedtuple("TileResult", "status extent footprint centers nodes
         }
 
 
-def tile_region(footprint, extent, budget=10**7):
+def tile_region(footprint, extent, budget=10**7, jobs=1):
     """Exact-cover search for [-extent, extent]^n by translates of the ball.
 
     The origin tile is pre-placed; candidate centers range over
@@ -129,6 +132,17 @@ def tile_region(footprint, extent, budget=10**7):
     traversal and the node count as they would be without pruning.  The
     search keeps an explicit stack, so its depth is not bounded by
     Python's recursion limit.
+
+    The search below each candidate of the root cell (the first cell
+    after the origin tile) is one subtree.  Their node counts are added
+    in candidate order: the first subtree that completes gives the
+    tiling, a running total over budget gives inconclusive with budget
+    + 1 nodes, and otherwise the region is impossible, so status, centers
+    and nodes are the serial search's.  With jobs > 1 the subtrees are
+    dealt round-robin to up to `jobs` processes, the caller included
+    (forkmap.ordered_map); a forked subtree stops after budget nodes,
+    while one the caller runs stops where the serial search would, and
+    the workers still searching are stopped once the outcome is known.
 
     Raises ValueError, before any work, when the region has more than
     MAX_BALL_POINTS cells.
@@ -177,49 +191,92 @@ def tile_region(footprint, extent, budget=10**7):
         # ascending offset gives the centers t - v in lexicographic order;
         # a tile that reaches a region cell above bit k must collide
         t = point_of(k)
-        fits = []
+        masks, centers = [], []
         for off, v in offsets:
             mask = shape << (k - off + low)
             if not (mask & region_mask) >> (k + 1):
-                fits.append((tuple(a - b for a, b in zip(t, v)), mask))
-        return fits
+                masks.append(mask)
+                centers.append(tuple(a - b for a, b in zip(t, v)))
+        return masks, centers, len(masks)
 
-    fits_at = {}  # branching cell -> its (center, mask) candidates
+    fits_at = {}  # branching cell -> its (masks, centers, count) candidates
     # Masks are board-sized, so the cache is emptied before it holds
     # 2^28 board bits per candidate: a search that moves on through many
     # cells, as on a long line, then keeps only the latest ones.
     max_cells = max(1, 2**28 // width**n)
-    nodes = 0
-    chosen = [(0,) * n]
+
+    def search(occupied, free, chosen, limit):
+        """(status, chosen, nodes) of the search below one placement.
+
+        chosen holds the placed centers as nested (center, rest) pairs, so
+        a stack frame keeps its own and backtracking trims nothing.
+        """
+        nodes = 0
+        # branch points with candidates left:
+        # (occupied, free, masks, centers, count, next position, chosen)
+        stack = []
+        while free:
+            k = free.bit_length() - 1
+            try:
+                masks, centers, count = fits_at[k]
+            except KeyError:
+                if len(fits_at) >= max_cells:
+                    fits_at.clear()
+                masks, centers, count = fits_at[k] = fits_of(k)
+            i = 0
+            while True:  # the next disjoint candidate, backtracking as needed
+                while i < count and occupied & masks[i]:
+                    i += 1
+                if i < count:
+                    break
+                if not stack:
+                    return "impossible", None, nodes
+                occupied, free, masks, centers, count, i, chosen = stack.pop()
+            nodes += 1
+            if nodes > limit:
+                return "inconclusive", None, nodes
+            mask = masks[i]
+            if i + 1 < count:
+                stack.append((occupied, free, masks, centers, count, i + 1, chosen))
+            chosen = (centers[i], chosen)
+            occupied |= mask
+            free ^= mask & free
+        return "completed", chosen, nodes
+
+    origin = ((0,) * n, None)
     occupied = shape << low  # the pre-placed origin tile
     free = region_mask & ~occupied
-    # branch points with candidates left:
-    # (occupied, free, candidates, next position, len(chosen))
-    stack = []
-    while free:
-        k = free.bit_length() - 1
-        fits = fits_at.get(k)
-        if fits is None:
-            if len(fits_at) >= max_cells:
-                fits_at.clear()
-            fits = fits_at[k] = fits_of(k)
-        i = 0
-        while True:  # the next disjoint candidate, backtracking as needed
-            while i < len(fits) and occupied & fits[i][1]:
-                i += 1
-            if i < len(fits):
-                break
-            if not stack:
-                return TileResult("impossible", extent, footprint, (), nodes)
-            occupied, free, fits, i, placed = stack.pop()
-            del chosen[placed:]
-        nodes += 1
-        if nodes > budget:
-            return TileResult("inconclusive", extent, footprint, (), nodes)
-        c, mask = fits[i]
-        if i + 1 < len(fits):
-            stack.append((occupied, free, fits, i + 1, len(chosen)))
-        chosen.append(c)
-        occupied |= mask
-        free ^= mask & free
-    return TileResult("completed", extent, footprint, tuple(chosen), nodes)
+    if not free:
+        return TileResult("completed", extent, footprint, (origin[0],), 0)
+    masks, centers, _ = fits_of(free.bit_length() - 1)
+    root = [(mask, c) for mask, c in zip(masks, centers) if not occupied & mask]
+    spent = 0  # nodes of the subtrees combined so far
+
+    def subtree(candidate):
+        # a root candidate placed, then the search below it; the caller's
+        # own subtrees run once the earlier ones are combined, so they
+        # stop where the whole search would
+        mask, c = candidate
+        status, chosen, nodes = search(
+            occupied | mask, free & ~mask, (c, origin), budget - spent - 1)
+        placed = []
+        while chosen is not None:
+            placed.append(chosen[0])
+            chosen = chosen[1]
+        return status, tuple(placed[::-1]), nodes + 1
+
+    results = (subtree(candidate) for candidate in root)
+    if jobs > 1:  # a serial run loads no fork machinery
+        from .forkmap import ordered_map
+
+        results = ordered_map(subtree, root, jobs)
+    try:
+        for status, placed, nodes in results:
+            spent += nodes
+            if spent > budget:
+                return TileResult("inconclusive", extent, footprint, (), budget + 1)
+            if status == "completed":
+                return TileResult("completed", extent, footprint, placed, spent)
+    finally:
+        results.close()  # stops and reaps the workers still searching
+    return TileResult("impossible", extent, footprint, (), spent)

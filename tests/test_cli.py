@@ -526,8 +526,10 @@ def test_tile_region_loads_only_the_tiler_modules():
     assert "lpcodes.tiler" in loaded
     for name in ("homsearch", "lattices", "distance_sets", "zqcodes", "density", "svg"):
         assert f"lpcodes.{name}" not in loaded
-    for package in ("dataclasses", "inspect"):
+    for package in ("dataclasses", "inspect", "multiprocessing"):
         assert loaded_modules(*argv, package=package) == set(), package
+    # the fork map the search uses on several cores loads no pool either
+    assert loaded_modules("-c", "import lpcodes.forkmap", package="multiprocessing") == set()
 
 
 # ----------------------------------------------------------------- README

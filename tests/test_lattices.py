@@ -190,6 +190,45 @@ def test_enumerate_in_box_zero_radius():
         assert canonicalize(rows).enumerate_in_box(0) == [(0,) * len(rows[0])]
 
 
+def reference_enumerate_in_box(lat, box_radius):
+    """The recursive enumeration enumerate_in_box replaced: one call per row."""
+    n, basis = lat.n, lat.basis
+    out, partial = [], [0] * n
+
+    def rec(i):
+        if i < 0:
+            out.append(tuple(partial))
+            return
+        d = basis[i][i]
+        for c in range(-((box_radius + partial[i]) // d), (box_radius - partial[i]) // d + 1):
+            for j in range(i + 1):
+                partial[j] += c * basis[i][j]
+            rec(i - 1)
+            for j in range(i + 1):
+                partial[j] -= c * basis[i][j]
+
+    rec(n - 1)
+    return sorted(out)
+
+
+def test_enumerate_in_box_matches_the_recursive_enumeration():
+    rng = random.Random(11)
+    for _ in range(60):
+        lat = random_full_rank(rng, rng.randint(1, 4), bound=5)
+        box_radius = rng.randint(0, 8)
+        got = lat.enumerate_in_box(box_radius)
+        assert got == reference_enumerate_in_box(lat, box_radius), (lat.basis, box_radius)
+        assert len(got) == len(set(got)) and all(lat.contains(v) for v in got)
+
+
+def test_enumerate_in_box_in_dimension_1200():
+    # the identity basis is its own Hermite form; one level per coordinate
+    # used to mean one recursive call per coordinate, past the recursion limit
+    n = 1200
+    lat = IntegerLattice(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
+    assert lat.enumerate_in_box(0) == [(0,) * n]
+
+
 # ----------------------------------------------------- minimum distances
 
 def test_minimum_distance_values():

@@ -1,7 +1,12 @@
 """Bounded-region tiling search and the endpoint non-tiling criteria."""
 
 import itertools
+import json
+import os
+import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -265,13 +270,29 @@ EQUIVALENCE_GRID = [
 EQUIVALENCE_BUDGET = 300  # small enough that some grid cases run out
 
 
+def tile_forked(footprint, extent, budget, jobs):
+    """tile_region on `jobs` processes, with warnings as errors (Python 3.12
+    warns when a multithreaded process forks); checks that no worker is left."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = tile_region(footprint, extent, budget=budget, jobs=jobs)
+    assert_no_child_left()
+    return result
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("n,p,r,extent", EQUIVALENCE_GRID)
 def test_tiler_matches_reference_scan(n, p, r, extent):
     ball = enumerate_ball(n, RadiusToken.from_radius(p, r))
-    result = tile_region(ball, extent, budget=EQUIVALENCE_BUDGET)
     status, nodes, centers = reference_tile_region(ball, extent, EQUIVALENCE_BUDGET)
-    assert (result.status, result.nodes) == (status, nodes)
-    assert list(result.centers) == centers
+    for jobs in (1, 2, 3):
+        result = tile_forked(ball, extent, EQUIVALENCE_BUDGET, jobs)
+        assert (result.status, result.nodes) == (status, nodes), jobs
+        assert list(result.centers) == centers, jobs
 
 
 def test_equivalence_grid_covers_every_outcome():
@@ -280,6 +301,48 @@ def test_equivalence_grid_covers_every_outcome():
         ball = enumerate_ball(n, RadiusToken.from_radius(p, r))
         statuses.add(tile_region(ball, extent, budget=EQUIVALENCE_BUDGET).status)
     assert statuses == {"completed", "impossible", "inconclusive"}
+
+
+# ----------------------------------------------- parallel root subtrees
+
+BENCH_TILES = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "workloads.json").read_text()
+)["workloads"]["tile-region"]["tiles"]
+
+
+@pytest.mark.parametrize("tile", BENCH_TILES, ids=lambda t: f"n{t['n']}r{t['r']}e{t['extent']}")
+def test_benchmark_instances_are_the_same_on_every_job_count(tile):
+    ball = enumerate_ball(tile["n"], RadiusToken.from_radius(tile["p"], tile["r"]))
+    count = tile_region(ball, tile["extent"], budget=tile["budget"]).nodes
+    if tile["nodes"] is not None:
+        assert count == tile["nodes"]
+    for budget in (0, 1, count - 1, count, count + 1):
+        serial = tile_region(ball, tile["extent"], budget=budget)
+        for jobs in (2, 3):
+            result = tile_forked(ball, tile["extent"], budget, jobs)
+            assert (result.status, result.centers, result.nodes) == (
+                serial.status, serial.centers, serial.nodes), (budget, jobs)
+
+
+def test_first_subtree_completing_stops_the_workers(monkeypatch):
+    # the Lee cross tiles [-3, 3]^2 in the first of its 5 root subtrees;
+    # the workers sleep, so only being killed ends them in time
+    forks = []
+    fork = os.fork
+
+    def sleeping_fork():
+        pid = fork()
+        if pid == 0:
+            time.sleep(60)
+        else:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", sleeping_fork)
+    start = time.monotonic()
+    result = tile_forked(enumerate_ball(2, RadiusToken(1, 1)), 3, 10**6, 3)
+    assert time.monotonic() - start < 30
+    assert (result.status, result.nodes, len(forks)) == ("completed", 30, 2)
 
 
 # ------------------------------------------------- opposite endpoints
