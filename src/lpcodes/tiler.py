@@ -17,10 +17,12 @@ are bits in reverse lexicographic order, so the least uncovered cell is
 the highest free bit, and every tile is one shape shifted.  A cell's
 candidate tiles are listed when the search first branches on it, and
 only those that leave every region cell before it free are kept, which
-away from the region's lower faces is a single tile.  The subtrees below
-the root cell's candidates are independent searches, so they can run on
-several processes (forkmap.ordered_map) and be combined in candidate
-order into the serial search's outcome.
+away from the region's lower faces is a single tile.  A search node is
+two ints, the board and its free region cells, and placing a tile is one
+OR and one XOR; the tiling is read off the final board.  The subtrees
+below the root cell's candidates are independent searches, so they can
+run on several processes (forkmap.ordered_map) and be combined in
+candidate order into the serial search's outcome.
 """
 
 from collections import namedtuple
@@ -67,24 +69,29 @@ def excludes_plane_tiling(r, p):
     """True when no tiling of R^2 by the radius-r polyomino can exist.
 
     Exact integer arithmetic for integer p; the criterion is r > 2
-    together with (r-1)^p + 2^p <= r^p.
+    together with (r-1)^p + 2^p <= r^p.  For p = inf the ball is the
+    square [-r, r]^2, which has no endpoints and tiles the plane, so the
+    answer is False (the inequality, read as inf <= inf, would say True).
     """
     if r < 1 or int(r) != r:
         raise ValueError("radius must be a positive integer")
     if not p > 1:
         raise ValueError("exponent must exceed 1")
     r = int(r)
-    return r > 2 and (r - 1) ** p + 2**p <= r**p
+    return p != INF and r > 2 and (r - 1) ** p + 2**p <= r**p
 
 
 def excludes_space_tiling(n, r, p):
-    """The n >= 3 analogue: r > 2 and (n-1)(r-1)^p + (r-2)^p <= r^p."""
+    """The n >= 3 analogue: r > 2 and (n-1)(r-1)^p + (r-2)^p <= r^p.
+
+    False for p = inf, whose ball is the cube [-r, r]^n: it tiles Z^n.
+    """
     if n < 3:
         raise ValueError("use excludes_plane_tiling for n = 2")
     if r < 1 or int(r) != r:
         raise ValueError("radius must be a positive integer")
     r = int(r)
-    return r > 2 and (n - 1) * (r - 1) ** p + (r - 2) ** p <= r**p
+    return p != INF and r > 2 and (n - 1) * (r - 1) ** p + (r - 2) ** p <= r**p
 
 
 class TileResult(namedtuple("TileResult", "status extent footprint centers nodes")):
@@ -129,9 +136,14 @@ def tile_region(footprint, extent, budget=10**7, jobs=1):
     hundred on the benchmark instances).  Every region cell before the
     branching cell is already covered, so a tile reaching one of them
     must collide: such tiles are left out of the list, which leaves the
-    traversal and the node count as they would be without pruning.  The
-    search keeps an explicit stack, so its depth is not bounded by
-    Python's recursion limit.
+    traversal and the node count as they would be without pruning.  Each
+    candidate keeps its board mask and its region cells, so a node is two
+    ints, the board and its free region cells, and placing a tile is one
+    OR and one XOR.  The search keeps no centers: a completed board is
+    taken apart once, tile by tile from its highest cell, and the tiles
+    are put in placement order by their highest region cell, the cell
+    each was placed on.  The search keeps an explicit stack, so its depth
+    is not bounded by Python's recursion limit.
 
     The search below each candidate of the root cell (the first cell
     after the origin tile) is one subtree.  Their node counts are added
@@ -175,11 +187,13 @@ def tile_region(footprint, extent, budget=10**7, jobs=1):
     # by the index of its lowest cell.  The tile at t - v covers cell
     # k = bit_index(t) with its point v, and its mask is the shape shifted
     # by k - off(v) + low.
-    offsets = sorted((bit_index(v), v) for v in footprint.points)
-    low = offsets[0][0]
+    offsets = sorted(bit_index(v) for v in footprint.points)
+    low = offsets[0]
     shape = 0
-    for off, _ in offsets:
+    for off in offsets:
         shape |= 1 << (off - low)
+    top = offsets[-1] - low  # the shape's highest bit, the cell of v_top
+    v_top = max(footprint.points, key=bit_index)
 
     # the region is a product of intervals, so its mask is a product of one
     # run of bits per axis
@@ -187,83 +201,101 @@ def tile_region(footprint, extent, budget=10**7, jobs=1):
     for i in range(n):
         region_mask *= sum(1 << ((span - c) * width**i) for c in range(-extent, extent + 1))
 
-    def fits_of(k):
-        # ascending offset gives the centers t - v in lexicographic order;
-        # a tile that reaches a region cell above bit k must collide
-        t = point_of(k)
-        masks, centers = [], []
-        for off, v in offsets:
-            mask = shape << (k - off + low)
-            if not (mask & region_mask) >> (k + 1):
-                masks.append(mask)
-                centers.append(tuple(a - b for a, b in zip(t, v)))
-        return masks, centers, len(masks)
+    def fits_of(b):
+        # the candidates of cell b - 1, the branching cell when the free
+        # region mask has bit length b; ascending offset gives the centers
+        # t - v in lexicographic order, and a tile that reaches a region
+        # cell at bit b or above must collide
+        fits = []
+        for off in offsets:
+            mask = shape << (b - 1 - off + low)
+            rmask = mask & region_mask
+            if not rmask >> b:
+                fits.append((mask, rmask))
+        return fits
 
-    fits_at = {}  # branching cell -> its (masks, centers, count) candidates
-    # Masks are board-sized, so the cache is emptied before it holds
-    # 2^28 board bits per candidate: a search that moves on through many
-    # cells, as on a long line, then keeps only the latest ones.
-    max_cells = max(1, 2**28 // width**n)
+    fits_at = {}  # free.bit_length() -> the (mask, region cells) candidates
+    # Both masks of a candidate are board-sized, so the cache is emptied
+    # before it holds 2^28 board bits per candidate, 2^27 for each mask: a
+    # search that moves on through many cells, as on a long line, then
+    # keeps only the latest ones.
+    max_cells = max(1, 2**27 // width**n)
 
-    def search(occupied, free, chosen, limit):
-        """(status, chosen, nodes) of the search below one placement.
+    def search(occupied, free, limit):
+        """(status, final board, nodes) of the search below one placement.
 
-        chosen holds the placed centers as nested (center, rest) pairs, so
-        a stack frame keeps its own and backtracking trims nothing.
+        A tile that fits meets no occupied cell, and every covered region
+        cell is occupied, so its region cells are all free: placing it is
+        one OR and one XOR.  The search keeps no centers; a completed one
+        returns its board, from which tiling() reads them.
         """
         nodes = 0
-        # branch points with candidates left:
-        # (occupied, free, masks, centers, count, next position, chosen)
-        stack = []
+        stack = []  # branch points with candidates left: (occupied, free, fits, next index)
         while free:
-            k = free.bit_length() - 1
+            b = free.bit_length()
             try:
-                masks, centers, count = fits_at[k]
+                fits = fits_at[b]
             except KeyError:
                 if len(fits_at) >= max_cells:
                     fits_at.clear()
-                masks, centers, count = fits_at[k] = fits_of(k)
-            i = 0
+                fits = fits_at[b] = fits_of(b)
+            i, count = 0, len(fits)
             while True:  # the next disjoint candidate, backtracking as needed
-                while i < count and occupied & masks[i]:
+                while i < count:
+                    mask, rmask = fits[i]
                     i += 1
-                if i < count:
-                    break
-                if not stack:
-                    return "impossible", None, nodes
-                occupied, free, masks, centers, count, i, chosen = stack.pop()
+                    if not occupied & mask:
+                        break
+                else:
+                    if not stack:
+                        return "impossible", None, nodes
+                    occupied, free, fits, i = stack.pop()
+                    count = len(fits)
+                    continue
+                break
             nodes += 1
             if nodes > limit:
                 return "inconclusive", None, nodes
-            mask = masks[i]
-            if i + 1 < count:
-                stack.append((occupied, free, masks, centers, count, i + 1, chosen))
-            chosen = (centers[i], chosen)
+            if i < count:
+                stack.append((occupied, free, fits, i))
             occupied |= mask
-            free ^= mask & free
-        return "completed", chosen, nodes
+            free ^= rmask
+        return "completed", occupied, nodes
 
-    origin = ((0,) * n, None)
-    occupied = shape << low  # the pre-placed origin tile
-    free = region_mask & ~occupied
+    origin = shape << low  # the pre-placed origin tile
+    free = region_mask & ~origin
     if not free:
-        return TileResult("completed", extent, footprint, (origin[0],), 0)
-    masks, centers, _ = fits_of(free.bit_length() - 1)
-    root = [(mask, c) for mask, c in zip(masks, centers) if not occupied & mask]
+        return TileResult("completed", extent, footprint, ((0,) * n,), 0)
+
+    def tiling(board):
+        """The centers of a completed board's tiles, in placement order.
+
+        The highest set bit of the board is the top cell of its tile, so
+        tiles come off one at a time.  Each was placed when the search
+        branched on its highest region cell, and the branching cells fall,
+        so that cell, descending, orders them after the origin tile.
+        """
+        tiles = []
+        board ^= origin
+        while board:
+            b = board.bit_length() - 1
+            mask = shape << (b - top)
+            board ^= mask
+            tiles.append(((mask & region_mask).bit_length(), b))
+        tiles.sort(reverse=True)
+        return ((0,) * n,) + tuple(
+            tuple(a - c for a, c in zip(point_of(b), v_top)) for _, b in tiles)
+
+    root = [fit for fit in fits_of(free.bit_length()) if not origin & fit[0]]
     spent = 0  # nodes of the subtrees combined so far
 
     def subtree(candidate):
         # a root candidate placed, then the search below it; the caller's
         # own subtrees run once the earlier ones are combined, so they
         # stop where the whole search would
-        mask, c = candidate
-        status, chosen, nodes = search(
-            occupied | mask, free & ~mask, (c, origin), budget - spent - 1)
-        placed = []
-        while chosen is not None:
-            placed.append(chosen[0])
-            chosen = chosen[1]
-        return status, tuple(placed[::-1]), nodes + 1
+        mask, rmask = candidate
+        status, board, nodes = search(origin | mask, free ^ rmask, budget - spent - 1)
+        return status, board, nodes + 1
 
     results = (subtree(candidate) for candidate in root)
     if jobs > 1:  # a serial run loads no fork machinery
@@ -271,12 +303,12 @@ def tile_region(footprint, extent, budget=10**7, jobs=1):
 
         results = ordered_map(subtree, root, jobs)
     try:
-        for status, placed, nodes in results:
+        for status, board, nodes in results:
             spent += nodes
             if spent > budget:
                 return TileResult("inconclusive", extent, footprint, (), budget + 1)
             if status == "completed":
-                return TileResult("completed", extent, footprint, placed, spent)
+                return TileResult("completed", extent, footprint, tiling(board), spent)
     finally:
         results.close()  # stops and reaps the workers still searching
     return TileResult("impossible", extent, footprint, (), spent)

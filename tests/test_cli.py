@@ -62,16 +62,21 @@ DIFF_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("n, p, s", list(DIFF_SHA256))
-def test_ball_diff_artifact_is_byte_identical(tmp_path, monkeypatch, n, p, s):
+def artifact_sha256(tmp_path, monkeypatch, argv, code=0):
+    """SHA-256 of the artifact `lpcodes argv` writes, without its manifest."""
     emit, payloads = cli._emit, []
     monkeypatch.setattr(cli, "_emit", lambda obj, out: payloads.append(obj))
-    assert cli.main(["ball", "--n", str(n), "--p", str(p), "--s", str(s), "--diff"]) == 0
+    assert cli.main(argv) == code
     (payload,) = payloads
     del payload["manifest"]
-    emit(payload, tmp_path / "diff.json")
-    digest = hashlib.sha256((tmp_path / "diff.json").read_bytes()).hexdigest()
-    assert digest == DIFF_SHA256[n, p, s]
+    emit(payload, tmp_path / "artifact.json")
+    return hashlib.sha256((tmp_path / "artifact.json").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n, p, s", list(DIFF_SHA256))
+def test_ball_diff_artifact_is_byte_identical(tmp_path, monkeypatch, n, p, s):
+    argv = ["ball", "--n", str(n), "--p", str(p), "--s", str(s), "--diff"]
+    assert artifact_sha256(tmp_path, monkeypatch, argv) == DIFF_SHA256[n, p, s]
 
 
 def test_ball_over_the_size_guard_exits_1_quickly():
@@ -370,6 +375,26 @@ def test_tile_region_budget_exit_2():
     proc = run("tile-region", "--n", "2", "--p", "2", "--r", "3", "--extent", "12", "--budget", "10")
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["status"] == "inconclusive"
+
+
+# SHA-256 of the four tile-region artifacts of the benchmark without their
+# manifest, fixed before the tiler read its tiles off the final board:
+# (n, r, extent, budget) -> digest, all at p = 2
+TILE_SHA256 = {
+    (2, 2, 13, 10**6): "f227b190da9059423f3c717811059a3801af67f921fef4752b9d7831b9d746da",
+    (2, 3, 16, 10**6): "93e32a22a66c8396403e83f52deb8977449b4a536d19cffef0b004519715a84d",
+    (2, 4, 16, 10**6): "f678c53c6be66dc128307364af4c4925adf97917951c956c5670894301f2d0ed",
+    (3, 1, 3, 10**5): "09fa33b15f264ec902743c2500665c7060d65e648a84c9a39d7f7764a202dc11",
+}
+
+
+@pytest.mark.parametrize("n, r, extent, budget", list(TILE_SHA256))
+def test_tile_region_artifact_is_byte_identical(tmp_path, monkeypatch, n, r, extent, budget):
+    argv = ["tile-region", "--n", str(n), "--p", "2", "--r", str(r),
+            "--extent", str(extent), "--budget", str(budget)]
+    code = 2 if n == 3 else 0  # the 7-point cross runs out of budget
+    digest = artifact_sha256(tmp_path, monkeypatch, argv, code)
+    assert digest == TILE_SHA256[n, r, extent, budget]
 
 
 # ---------------------------------------------------------------- render

@@ -71,6 +71,15 @@ def test_space_criterion_needs_dimension_three_plus():
         excludes_space_tiling(2, 3, 2)
 
 
+@pytest.mark.parametrize("r", [3, 4])
+def test_criteria_never_exclude_the_cube(r):
+    # the sup-metric ball is the cube [-r, r]^n, which tiles Z^n
+    assert not excludes_plane_tiling(r, INF)
+    assert not excludes_space_tiling(3, r, INF)
+    cube = enumerate_ball(2, RadiusToken.from_radius(INF, r))
+    assert tile_region(cube, 2 * r + 1).status == "completed"
+
+
 def test_criteria_fractional_exponent():
     # scalar predicates accept non-integer p
     assert excludes_plane_tiling(3, 2.5)
