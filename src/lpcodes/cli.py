@@ -1,9 +1,13 @@
 """Command-line interface: exact computations in, JSON artifacts out.
 
-Every artifact embeds the manifest (subcommand, parameters, library
-version) that produced it, and is byte-identical across reruns with the
-same manifest; wall time goes to stderr only.  Exit codes: 0 success,
-1 usage or computation error, 2 explicit inconclusive outcome.
+Each subcommand only computes and returns its artifact: a dict, a list
+of JSON-line records (search), or text (bounds --csv, render).  main
+owns the rest, once for all of them: it embeds the manifest (subcommand,
+parameters, library version) in a dict or as the first JSON line, writes
+the artifact to --out (render: --svg) or stdout, byte-identical across
+reruns with the same manifest, and sends wall time to stderr only.  Exit
+codes: 0 success, 1 usage or computation error, 2 when the artifact or
+one of its records is inconclusive.
 """
 
 import argparse
@@ -18,8 +22,6 @@ import time
 # a call loads (and, without cached bytecode, compiles) only those.
 from . import __version__
 from .geometry import INF, RadiusToken, difference_set, enumerate_ball
-
-DENSITY_FILE_ENV = "LPCODES_DENSITY_FILE"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,11 +83,11 @@ def _json_param(value):
     return value
 
 
-def _manifest(sub, args, skip=("func", "out", "svg_out", "subcommand")):
+def _manifest(args, skip=("func", "out", "subcommand")):
     params = {
         k: _json_param(v) for k, v in sorted(vars(args).items()) if k not in skip
     }
-    return {"subcommand": sub, "parameters": params, "version": __version__}
+    return {"subcommand": args.subcommand, "parameters": params, "version": __version__}
 
 
 def _pieces(obj, pad=""):
@@ -125,49 +127,40 @@ def _pieces(obj, pad=""):
         yield f"\n{pad}]"
 
 
-def _emit(obj, out):
+def _emit(artifact, out):
+    """Write an artifact to the file out, else to the current sys.stdout.
+
+    A dict is written as json.dumps(sort_keys=True, indent=2) writes it,
+    a list as one compact JSON line per record, text as it is.
+    """
     # streamed: a large artifact is never held as one string
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
-        fh.writelines(_pieces(obj))
-        fh.write("\n")
-
-
-def _emit_lines(lines, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(lines)
-    else:
-        sys.stdout.write(lines)
+        if isinstance(artifact, str):
+            fh.write(artifact)
+        elif isinstance(artifact, list):
+            fh.writelines(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+                          for record in artifact)
+        else:
+            fh.writelines(_pieces(artifact))
+            fh.write("\n")
 
 
 def cmd_ball(args):
-    token = RadiusToken(args.p, args.s)
-    ball = enumerate_ball(args.n, token)
-    payload = difference_set(ball).to_json() if args.diff else ball.to_json()
-    payload["manifest"] = _manifest("ball", args)
-    _emit(payload, args.out)
-    return 0
+    ball = enumerate_ball(args.n, RadiusToken(args.p, args.s))
+    return difference_set(ball).to_json() if args.diff else ball.to_json()
 
 
 def cmd_distances(args):
     from .distance_sets import enumerate_achievable
 
-    table = enumerate_achievable(args.p, args.n, args.limit, args.q)
-    payload = table.to_json()
-    payload["manifest"] = _manifest("distances", args)
-    _emit(payload, args.out)
-    return 0
+    return enumerate_achievable(args.p, args.n, args.limit, args.q).to_json()
 
 
 def cmd_verify(args):
     from .lattices import IntegerLattice, verify_perfect
 
     lat = IntegerLattice.from_rows(args.basis, len(args.basis[0]))
-    cert = verify_perfect(lat, args.p, RadiusToken(args.p, args.s))
-    payload = cert.to_json()
-    payload["manifest"] = _manifest("verify", args)
-    _emit(payload, args.out)
-    return 0
+    return verify_perfect(lat, args.p, RadiusToken(args.p, args.s)).to_json()
 
 
 def cmd_code(args):
@@ -175,12 +168,7 @@ def cmd_code(args):
 
     code = zqcodes.LinearCodeZq(args.q, args.n, tuple(args.gen or ()))
     lat = zqcodes.construction_a(code)
-    payload = {
-        "code": code.to_json(),
-        "cardinality": code.cardinality,
-        "lattice": lat.to_json(),
-        "manifest": _manifest("code", args),
-    }
+    payload = {"code": code.to_json(), "cardinality": code.cardinality, "lattice": lat.to_json()}
     if code.cardinality >= 2:
         payload["minimum_distance_s"] = zqcodes.code_minimum_distance(code, args.p).power_value
         payload["packing_radius_s"] = zqcodes.code_packing_radius(code, args.p).power_value
@@ -190,8 +178,7 @@ def cmd_code(args):
         payload["perfect"] = zqcodes.code_is_perfect(code, args.p, RadiusToken(args.p, args.s))
     if args.transfer:
         payload["transfer"] = zqcodes.transfer_packing_radius(code, args.p).to_json()
-    _emit(payload, args.out)
-    return 0
+    return payload
 
 
 def cmd_search(args):
@@ -199,46 +186,28 @@ def cmd_search(args):
 
     if args.budget is None:  # the manifest records the budget the search used
         args.budget = homsearch.DEFAULT_BUDGET
-    report = homsearch.classify(
-        args.n, args.p, args.s_max, budget=args.budget, jobs=args.jobs
-    )
-    lines = (
-        json.dumps({"manifest": _manifest("search", args)}, sort_keys=True, separators=(",", ":"))
-        + "\n"
-        + report.to_json_lines()
-    )
-    _emit_lines(lines, args.out)
-    if any(o.status == "inconclusive" for o in report.outcomes):
-        return 2
-    return 0
+    report = homsearch.classify(args.n, args.p, args.s_max, budget=args.budget, jobs=args.jobs)
+    return [o.to_json() for o in report.outcomes]
 
 
 def cmd_bounds(args):
     from . import density
 
-    path = args.density_file or os.environ.get(DENSITY_FILE_ENV)
-    table = density.load_density_table(path)
-    payload = {"manifest": _manifest("bounds", args)}
+    table = density.load_density_table(args.density_file)
     if args.table1:
         rows = density.threshold_table(table, args.p)
         if args.csv:
-            text = "n,threshold\n" + "".join(f"{n},{t}\n" for n, t in rows)
-            _emit_lines(text, args.out)
-            return 0
-        payload["thresholds"] = [{"n": n, "threshold": t} for n, t in rows]
-    elif args.survivors:
+            return "n,threshold\n" + "".join(f"{n},{t}\n" for n, t in rows)
+        return {"thresholds": [{"n": n, "threshold": t} for n, t in rows]}
+    if args.survivors:
         if args.n is None:
             raise ValueError("--survivors needs --n")
         delta = table.lookup(args.n, args.p)
-        payload["survivors"] = density.surviving_radii(args.n, args.p, delta)
-        payload["density"] = delta
-    else:
-        payload["densities"] = [
-            {"n": n, "p": p, "density": value, "expr": expr, "note": note}
-            for n, p, value, expr, note in table.entries
-        ]
-    _emit(payload, args.out)
-    return 0
+        return {"survivors": density.surviving_radii(args.n, args.p, delta), "density": delta}
+    return {"densities": [
+        {"n": n, "p": p, "density": value, "expr": expr, "note": note}
+        for n, p, value, expr, note in table.entries
+    ]}
 
 
 def _usable_cores():
@@ -253,10 +222,7 @@ def cmd_tile_region(args):
 
     footprint = enumerate_ball(args.n, RadiusToken.from_radius(args.p, args.r))
     result = tiler.tile_region(footprint, args.extent, budget=args.budget, jobs=_usable_cores())
-    payload = result.to_json()
-    payload["manifest"] = _manifest("tile-region", args)
-    _emit(payload, args.out)
-    return 2 if result.status == "inconclusive" else 0
+    return result.to_json()
 
 
 def cmd_render(args):
@@ -265,12 +231,8 @@ def cmd_render(args):
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
-        drawing = _render_search_lines(text)  # JSON-lines sweep report
-    else:
-        drawing = _render_object(obj)
-    with open(args.svg_out, "w") as fh:
-        fh.write(drawing)
-    return 0
+        return _render_search_lines(text)  # JSON-lines sweep report
+    return _render_object(obj)
 
 
 def _render_object(obj):
@@ -355,7 +317,7 @@ def build_parser():
     p_search.set_defaults(func=cmd_search)
 
     p_bounds = sub.add_parser("bounds", help="density thresholds and survivors")
-    p_bounds.add_argument("--p", type=int, default=2)
+    p_bounds.add_argument("--p", type=_int_at_least("p", 1), default=2)
     p_bounds.add_argument("--n", type=int)
     p_bounds.add_argument("--density-file")
     p_bounds.add_argument("--table1", action="store_true", help="emit the threshold table")
@@ -375,24 +337,31 @@ def build_parser():
 
     p_render = sub.add_parser("render", help="SVG from a ball/search/tile-region artifact")
     p_render.add_argument("--input", required=True)
-    p_render.add_argument("--svg", dest="svg_out", required=True)
+    p_render.add_argument("--svg", dest="out", metavar="SVG_OUT", required=True)
     p_render.set_defaults(func=cmd_render)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        rc = args.func(args)
+        artifact = args.func(args)
+        # the manifest is read after the run, which may fill in a default
+        if isinstance(artifact, dict):
+            artifact["manifest"] = _manifest(args)
+        elif isinstance(artifact, list):
+            artifact.insert(0, {"manifest": _manifest(args)})
+        _emit(artifact, args.out)
     except (ValueError, OSError, KeyError) as exc:
         print(f"lpcodes: error: {exc}", file=sys.stderr)
         return 1
     finally:
         print(f"elapsed {time.perf_counter() - start:.2f}s", file=sys.stderr)
-    return rc
+    records = artifact if isinstance(artifact, list) else [artifact]
+    inconclusive = any(isinstance(r, dict) and r.get("status") == "inconclusive" for r in records)
+    return 2 if inconclusive else 0
 
 
 if __name__ == "__main__":

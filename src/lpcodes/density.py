@@ -159,16 +159,15 @@ def density_radius_bound(n, p, delta):
     return n ** (1.0 / p) / 2.0 * (1.0 + root) / (1.0 - root)
 
 
-def threshold_table(table, p=2, dims=None):
+def threshold_table(table, p=2):
     """(n, floor(bound^2)) rows for every covered dimension.
 
     floor of the squared bound is the integer radius-power threshold; a
     +-1 disagreement with externally quoted tables is expected rounding
     noise, not an error.
     """
-    dims = table.covered(p) if dims is None else list(dims)
     rows = []
-    for n in dims:
+    for n in table.covered(p):
         bound = density_radius_bound(n, p, table.lookup(n, p))
         rows.append((n, math.floor(bound**p)))
     return rows

@@ -115,6 +115,8 @@ def is_achievable(p, n, s, q=None):
     p = 1, p = inf and, without a modulus, p = 2 are decided in closed
     form; every other case goes through the DP table.
     """
+    if n < 1:  # checked for every p: the closed forms would answer anyway
+        raise ValueError("dimension must be >= 1")
     if s < 0:
         raise ValueError("distance power must be nonnegative")
     cap = _cap(q)
@@ -162,6 +164,8 @@ def enumerate_achievable(p, n, limit, q=None):
     p = 1 and p = inf list every s up to the corner of the capped box;
     every other p reads the DP table.
     """
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
     cap = _cap(q)
     if p in (1, INF):
         vals = range((limit if cap is None else min(limit, norm_power((cap,) * n, p))) + 1)

@@ -48,7 +48,6 @@ that count: a search that runs out records budget + 1.
 """
 
 import itertools
-import json
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cache, reduce
@@ -478,12 +477,6 @@ class ClassificationReport(namedtuple("ClassificationReport", "n p s_max budget 
     @property
     def found_tokens(self):
         return tuple(o.token.power_value for o in self.outcomes if o.status == "found")
-
-    def to_json_lines(self):
-        return "".join(
-            json.dumps(o.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
-            for o in self.outcomes
-        )
 
 
 def _classify_token(n, p, s, budget):

@@ -16,13 +16,8 @@ CLI = [sys.executable, "-m", "lpcodes.cli"]
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run(*args, env=None, timeout=300):
-    merged = dict(os.environ)
-    if env:
-        merged.update(env)
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=merged, timeout=timeout
-    )
+def run(*args, timeout=300):
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=timeout)
 
 
 # ----------------------------------------------------------------- ball
@@ -64,19 +59,82 @@ DIFF_SHA256 = {
 
 def artifact_sha256(tmp_path, monkeypatch, argv, code=0):
     """SHA-256 of the artifact `lpcodes argv` writes, without its manifest."""
-    emit, payloads = cli._emit, []
-    monkeypatch.setattr(cli, "_emit", lambda obj, out: payloads.append(obj))
+    emit, artifacts = cli._emit, []
+    monkeypatch.setattr(cli, "_emit", lambda artifact, out: artifacts.append(artifact))
     assert cli.main(argv) == code
-    (payload,) = payloads
-    del payload["manifest"]
-    emit(payload, tmp_path / "artifact.json")
-    return hashlib.sha256((tmp_path / "artifact.json").read_bytes()).hexdigest()
+    (artifact,) = artifacts
+    if isinstance(artifact, dict):
+        del artifact["manifest"]
+    elif isinstance(artifact, list):
+        del artifact[0]  # the manifest line; text carries no manifest
+    emit(artifact, tmp_path / "artifact")
+    return hashlib.sha256((tmp_path / "artifact").read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("n, p, s", list(DIFF_SHA256))
 def test_ball_diff_artifact_is_byte_identical(tmp_path, monkeypatch, n, p, s):
     argv = ["ball", "--n", str(n), "--p", str(p), "--s", str(s), "--diff"]
     assert artifact_sha256(tmp_path, monkeypatch, argv) == DIFF_SHA256[n, p, s]
+
+
+# SHA-256 of artifacts without their manifest, fixed while each subcommand
+# still attached its own manifest, wrote its own output and chose its exit
+# code: argv -> digest, every run exit 0
+ARTIFACT_SHA256 = {
+    "ball --n 2 --p 2 --s 25": "264f8281ed0e3a77efbaa46c64338bc6caf3a94d0f3d5731804a71ec59fa9e16",
+    "ball --n 3 --p 1 --s 3": "400ce776db99ee471e4d2cbd97dae8cd4d21c29ad3563babc5ace57d61ba2356",
+    "distances --p 2 --n 3 --limit 100":
+        "6582507320139ee6e5d732025a0f9f4097c983e7dd96b9ae7b57e3e624b8038f",
+    "distances --p 2 --n 2 --limit 50 --q 13":
+        "b681bc5152c15118fcf61074504ad5e689339fb53d6c68d5fbf28a7655165c0a",
+    "verify --basis 1,5;3,2 --p 2 --s 4":  # PERFECT
+        "03592067a828163085b4b8a375dee4722762f8caffad85db0db90bf6f2d2969a",
+    "verify --basis 1,1;0,5 --p 2 --s 1":  # NOT_PERFECT
+        "f9971a4ef8802519e00250b661d57c659c97908545863283ec484f84abb58b3e",
+    "code --q 13 --n 2 --gen 1,5 --p 2 --check-perfect --s 4 --transfer":
+        "e4b889656fc8fb358c5c5760eedc354dfd1ad068a94ea9718d48e2d248ea76e7",
+    "bounds --table1 --csv": "84bc114284b85e692e3d30fd9a7c84708205c9e4d4aedbc276033e5f261f734c",
+    # the benchmark's l_2 plane sweep, the digest tests/test_homsearch.py pins
+    "search --n 2 --p 2 --s-max 90":
+        "6add2caf25510afd48f8a662b0ebd44d60880b30660a7b035b64c4ed6dc396eb",
+}
+
+
+@pytest.mark.parametrize("argv", list(ARTIFACT_SHA256))
+def test_artifact_is_byte_identical(tmp_path, monkeypatch, argv):
+    assert artifact_sha256(tmp_path, monkeypatch, argv.split()) == ARTIFACT_SHA256[argv]
+
+
+def test_render_artifact_is_byte_identical(tmp_path, monkeypatch):
+    tile = tmp_path / "tile.json"
+    assert cli.main(["tile-region", "--n", "2", "--p", "2", "--r", "2", "--extent", "10",
+                     "--out", str(tile)]) == 0
+    argv = ["render", "--input", str(tile), "--svg", str(tmp_path / "tile.svg")]
+    digest = "df4aa6116273ebd0e3574acc9b40a5e32ce0cd289c38ee0f1fec96c16df279bc"
+    assert artifact_sha256(tmp_path, monkeypatch, argv) == digest
+
+
+@pytest.mark.parametrize("argv", [
+    "ball --n 2 --p 2 --s 4",
+    "ball --n 2 --p 1 --s 2 --diff",
+    "distances --p 2 --n 2 --limit 20 --q 5",
+    "verify --basis 1,1;0,5 --p 2 --s 1",
+    "code --q 13 --n 2 --gen 1,5 --p 2 --check-perfect --s 4 --transfer",
+    "search --n 2 --p 2 --s-max 8",
+    "search --n 2 --p 2 --s-max 8 --budget 3",
+    "bounds",
+    "bounds --table1 --csv",
+    "bounds --survivors --n 3",
+    "tile-region --n 2 --p 2 --r 2 --extent 10",
+    "tile-region --n 2 --p 2 --r 3 --extent 12 --budget 10",
+])
+def test_out_file_gets_the_bytes_stdout_gets(tmp_path, capsys, argv):
+    code = cli.main(argv.split())
+    stdout = capsys.readouterr().out
+    out = tmp_path / "artifact"
+    assert cli.main(argv.split() + ["--out", str(out)]) == code
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
 
 
 def test_ball_over_the_size_guard_exits_1_quickly():
@@ -183,6 +241,14 @@ def test_distances_sup_metric_with_modulus():
     proc = run("distances", "--p", "inf", "--n", "2", "--limit", "5", "--q", "5")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["achievable"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("p, n", [("1", "0"), ("inf", "-2"), ("2", "0"), ("3", "-1")])
+def test_distances_rejects_dimension_below_1(p, n):
+    proc = run("distances", "--p", p, "--n", n, "--limit", "5")
+    assert proc.returncode == 1
+    assert "dimension must be >= 1" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_distances_rejects_exponent_zero():
@@ -343,11 +409,12 @@ def test_bounds_custom_density_file(tmp_path):
     assert len(obj["thresholds"]) == 1 and obj["thresholds"][0]["n"] == 2
 
 
-def test_bounds_density_file_from_environment(tmp_path):
-    f = tmp_path / "dens.json"
-    f.write_text(json.dumps([{"n": 2, "p": 2, "density": "pi/4", "note": "square"}]))
-    proc = run("bounds", "--table1", env={"LPCODES_DENSITY_FILE": str(f)})
-    assert len(json.loads(proc.stdout)["thresholds"]) == 1
+@pytest.mark.parametrize("p", ["0", "-3"])
+def test_bounds_exponent_below_1_is_a_usage_error(p):
+    proc = run("bounds", "--table1", "--p", p)
+    assert proc.returncode == 1
+    assert "usage:" in proc.stderr and "p must be >= 1" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_bounds_missing_density_file():

@@ -78,10 +78,6 @@ def test_threshold_table_reproduces_published_row():
     assert threshold_table(TABLE) == PAPER_THRESHOLDS
 
 
-def test_threshold_table_dims_filter():
-    assert threshold_table(TABLE, dims=[3, 24]) == [(3, 299), (24, 357)]
-
-
 def test_radius_bound_value_dim2():
     bound = density_radius_bound(2, 2, TABLE.lookup(2, 2))
     assert bound**2 == pytest.approx(838.041, abs=1e-2)

@@ -98,6 +98,16 @@ def test_zero_and_one_always_achievable():
             assert is_achievable(p, n, 1)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, INF])
+@pytest.mark.parametrize("q", [None, 5])
+@pytest.mark.parametrize("n", [0, -2])
+def test_dimension_below_1_is_refused_for_every_exponent(p, q, n):
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        is_achievable(p, n, 0, q)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        enumerate_achievable(p, n, 5, q)
+
+
 # ------------------------------------------------------------ DP table
 
 def brute_sums(p, n, limit, cap=None):
