@@ -162,10 +162,13 @@ def enumerate_achievable(p, n, limit, q=None):
     """AchievabilityTable of every achievable s <= limit.
 
     p = 1 and p = inf list every s up to the corner of the capped box;
-    every other p reads the DP table.
+    every other p reads the DP table.  A negative limit is refused for
+    every p.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
     cap = _cap(q)
     if p in (1, INF):
         vals = range((limit if cap is None else min(limit, norm_power((cap,) * n, p))) + 1)

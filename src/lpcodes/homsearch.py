@@ -479,10 +479,6 @@ class ClassificationReport(namedtuple("ClassificationReport", "n p s_max budget 
         return tuple(o.token.power_value for o in self.outcomes if o.status == "found")
 
 
-def _classify_token(n, p, s, budget):
-    return search_homomorphisms(n, RadiusToken(p, s), budget)
-
-
 def classify(n, p, s_max, budget=DEFAULT_BUDGET, jobs=1):
     """Classify every achievable token 1 <= s <= s_max for (n, p).
 
@@ -497,8 +493,8 @@ def classify(n, p, s_max, budget=DEFAULT_BUDGET, jobs=1):
     """
     tokens = [s for s in distance_sets.enumerate_achievable(p, n, s_max).achievable if s >= 1]
 
-    def search(s):
-        return _classify_token(n, p, s, budget)
+    def search(s):  # by its global name, which tracers and tests may wrap
+        return search_homomorphisms(n, RadiusToken(p, s), budget)
 
     if jobs > 1:  # a serial run loads no fork machinery
         from .forkmap import ordered_map

@@ -1,14 +1,15 @@
 """Linear codes over Z_q under p-Lee metrics, and their lattice lifts.
 
-A code is the additive closure of its generator rows in Z_q^n.  Balls
-inside Z_q^n are always measured with the p-Lee distance, never by
-lifting to Z^n, so wraparound (2r >= q) is handled correctly.  The lift
-is the preimage of the code under reduction mod q ("construction A");
-packing radii transfer between the two exactly when 2r < q.
+A code is the additive closure of its generator rows in Z_q^n, held
+through its lift, the preimage of the code under reduction mod q
+("construction A"): its words, cardinality and membership all come from
+the lift's Hermite basis.  Balls inside Z_q^n are always measured with
+the p-Lee distance, never by lifting to Z^n, so wraparound (2r >= q) is
+handled correctly; packing radii transfer between code and lift exactly
+when 2r < q.
 """
 
 from collections import namedtuple
-from functools import lru_cache
 
 from . import distance_sets, intmath, lattices
 from .geometry import INF, MAX_BALL_POINTS, RadiusToken, norm_power, plee_distance
@@ -26,8 +27,6 @@ __all__ = [
     "linfty_existence",
     "zq_ball",
 ]
-
-CLOSURE_CAP = 10**6
 
 
 class LinearCodeZq(namedtuple("LinearCodeZq", "q n generators")):
@@ -52,34 +51,30 @@ class LinearCodeZq(namedtuple("LinearCodeZq", "q n generators")):
         return total // det
 
     def codewords(self):
-        """The full code as a sorted tuple (materialized, capped)."""
-        return _closure(self.q, self.n, self.generators)
+        """The full code as a sorted tuple, each word once.
+
+        The lift contains qZ^n, so its Hermite diagonals d_i divide q, and
+        the sums of c_i times row i mod q, 0 <= c_i < q / d_i, list every
+        word exactly once.  Raises ValueError, before listing any word,
+        for a code of more than MAX_BALL_POINTS words.
+        """
+        q, n = self.q, self.n
+        lift = construction_a(self)
+        size = q**n // lift.determinant
+        if size > MAX_BALL_POINTS:
+            raise ValueError(
+                f"the code has {size} words, more than MAX_BALL_POINTS = {MAX_BALL_POINTS}")
+        words = [(0,) * n]
+        for i, row in enumerate(lift.basis):
+            steps = [tuple(c * x % q for x in row) for c in range(q // row[i])]
+            words = [tuple((a + b) % q for a, b in zip(w, step)) for w in words for step in steps]
+        return tuple(sorted(words))
 
     def contains(self, w):
         return construction_a(self).contains(w)
 
     def to_json(self):
         return {"q": self.q, "n": self.n, "generators": [list(g) for g in self.generators]}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(obj["q"], obj["n"], tuple(tuple(g) for g in obj["generators"]))
-
-
-@lru_cache(maxsize=64)
-def _closure(q, n, generators):
-    if LinearCodeZq(q, n, generators).cardinality > CLOSURE_CAP:
-        raise ValueError("code too large to materialize")
-    seen = {(0,) * n}
-    frontier = [(0,) * n]
-    while frontier:
-        w = frontier.pop()
-        for g in generators:
-            nxt = tuple((a + b) % q for a, b in zip(w, g))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return tuple(sorted(seen))
 
 
 def construction_a(code):
@@ -145,40 +140,39 @@ def zq_ball(q, n, token):
     return out
 
 
-def _balls_disjoint(code, words, token):
-    ball = zq_ball(code.q, code.n, token)
-    zero = (0,) * code.n
+def _translates(code, words, ball):
+    """The set of words c + b mod q, c a codeword and b in the ball, or
+    None as soon as two balls around codewords share a word."""
+    q = code.q
+    covered = set()
     for c in words:
-        if c == zero:
-            continue
-        for z in ball:
-            if plee_distance(z, c, code.q, token.p).power_value <= token.power_value:
-                return False
-    return True
-
-
-def _diameter(code, p):
-    """The power value of the farthest point of Z_q^n from 0 in p-Lee distance."""
-    return norm_power((code.q // 2,) * code.n, p)
+        shifted = {tuple((x + y) % q for x, y in zip(c, b)) for b in ball}
+        if not covered.isdisjoint(shifted):
+            return None
+        covered |= shifted
+    return covered
 
 
 def code_packing_radius(code, p):
-    """Largest achievable token with pairwise disjoint balls around codewords."""
+    """Largest achievable token with pairwise disjoint balls around codewords.
+
+    Walks s upward over the powers achievable modulo q and stops at the
+    first whose balls cannot fit (|C| |B| > q^n) or overlap; the ball at
+    the diameter of Z_q^n is all of it, so the walk always stops.
+    """
+    q, n = code.q, code.n
     words = code.codewords()
     if len(words) < 2:
         raise ValueError("packing radius needs at least two codewords")
-    table = distance_sets.enumerate_achievable(p, code.n, _diameter(code, p), code.q)
-    total = code.q**code.n
-    best = None
-    for s in table.achievable:
-        token = RadiusToken(p, s)
-        if len(words) * len(zq_ball(code.q, code.n, token)) > total:
-            break
-        if not _balls_disjoint(code, words, token):
-            break
-        best = token
-    assert best is not None  # s = 0 always packs
-    return best
+    best = RadiusToken(p, 0)  # s = 0 always packs
+    s = 1
+    while True:
+        if distance_sets.is_achievable(p, n, s, q):
+            ball = zq_ball(q, n, RadiusToken(p, s))
+            if len(words) * len(ball) > q**n or _translates(code, words, ball) is None:
+                return best
+            best = RadiusToken(p, s)
+        s += 1
 
 
 def code_is_perfect(code, p, token):
@@ -187,22 +181,11 @@ def code_is_perfect(code, p, token):
     The power value must be achievable modulo q, or beyond the diameter of
     Z_q^n, where the ball is all of it.
     """
-    s = token.power_value
-    if s <= _diameter(code, p) and not distance_sets.is_achievable(p, code.n, s, code.q):
-        raise ValueError(
-            f"s={token.power_value} is not an achievable p-Lee power for "
-            f"(p={p}, n={code.n}, q={code.q})"
-        )
-    words = code.codewords()
-    ball = zq_ball(code.q, code.n, token)
-    counts = {}
-    for c in words:
-        for b in ball:
-            pt = tuple((x + y) % code.q for x, y in zip(c, b))
-            counts[pt] = counts.get(pt, 0) + 1
-            if counts[pt] > 1:
-                return False
-    return len(counts) == code.q**code.n
+    q, n, s = code.q, code.n, token.power_value
+    if s <= norm_power((q // 2,) * n, p) and not distance_sets.is_achievable(p, n, s, q):
+        raise ValueError(f"s={s} is not an achievable p-Lee power for (p={p}, n={n}, q={q})")
+    covered = _translates(code, code.codewords(), zq_ball(q, n, token))
+    return covered is not None and len(covered) == q**n
 
 
 class TransferCertificate(namedtuple(

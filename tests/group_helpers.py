@@ -14,7 +14,7 @@ from lpcodes.geometry import difference_set
 from lpcodes.homsearch import AbelianGroupSpec, GroupHomomorphism
 from lpcodes.intmath import factorize
 from lpcodes.lattices import IntegerLattice
-from lpcodes.zqcodes import LinearCodeZq
+from lpcodes.zqcodes import LinearCodeZq, construction_a
 
 
 def encode(group, x):
@@ -185,19 +185,35 @@ def kernel_lattice(phi):
     return IntegerLattice.from_rows(relations, n)
 
 
+def closure(code):
+    """The code's words as a sorted tuple, by closing {0} under adding a
+    generator: the reference that LinearCodeZq.codewords is checked against."""
+    q, zero = code.q, (0,) * code.n
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        w = frontier.pop()
+        for g in code.generators:
+            nxt = tuple((a + b) % q for a, b in zip(w, g))
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return tuple(sorted(seen))
+
+
 def all_linear_codes(q, n):
     """The distinct additive codes of Z_q^n spanned by two generators (small q, n).
 
-    Brute-force enumeration by closing all generator pairs.  A subgroup
-    of Z_q^n needs up to n generators, so the list holds every code only
-    for n <= 2; that covers its use in validating the sup-metric
-    existence criterion exhaustively in the plane and on the line.
+    Brute-force enumeration over all generator pairs, one code per lift
+    (the lift's Hermite basis is canonical, so equal codes share it).  A
+    subgroup of Z_q^n needs up to n generators, so the list holds every
+    code only for n <= 2; that covers its use in validating the
+    sup-metric existence criterion exhaustively in the plane and on the
+    line.
     """
     seen = {}
     vectors = list(itertools.product(range(q), repeat=n))
     for g1 in vectors:
         for g2 in vectors:
             code = LinearCodeZq(q, n, (g1, g2))
-            words = code.codewords()
-            seen.setdefault(words, code)
+            seen.setdefault(construction_a(code).basis, code)
     return list(seen.values())

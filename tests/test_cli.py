@@ -268,6 +268,25 @@ def test_distance_table_over_the_guard_exits_1_quickly(argv):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["distances", "--p", "1", "--n", "2", "--limit", "-1"],
+    ["distances", "--p", "inf", "--n", "2", "--limit", "-3"],
+    ["distances", "--p", "3", "--n", "2", "--limit", "-1"],
+    ["search", "--n", "2", "--p", "1", "--s-max", "-5"],
+    ["search", "--n", "2", "--p", "2", "--s-max", "-5"],
+])
+def test_negative_limit_exits_1_for_every_p(argv, capsys):
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "limit must be >= 0" in err and out == ""
+
+
+def test_search_up_to_s_0_is_an_empty_sweep(capsys):
+    assert cli.main(["search", "--n", "2", "--p", "1", "--s-max", "0"]) == 0
+    (manifest,) = capsys.readouterr().out.splitlines()
+    assert json.loads(manifest)["manifest"]["subcommand"] == "search"
+
+
 # --------------------------------------------------------------- verify
 
 def test_verify_perfect_lattice():
@@ -320,6 +339,14 @@ def test_code_check_perfect_and_transfer():
     assert obj["perfect"] is True
     assert obj["transfer"]["condition_met"] is True
     assert obj["transfer"]["lattice_status"] == "PERFECT"
+
+
+@pytest.mark.parametrize("q, p", [("2898", "2"), ("258", "3")])
+def test_code_over_a_large_alphabet(q, p, capsys):
+    # the alphabet is too large for a distance table up to the diameter of Z_q^2
+    assert cli.main(["code", "--q", q, "--n", "2", "--p", p, "--gen", "1,3"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["cardinality"] == int(q) and obj["packing_radius_s"] == 2
 
 
 def test_code_check_perfect_requires_s():

@@ -86,6 +86,14 @@ def test_enumerate_consistent_with_pointwise():
             assert (s in members) == is_achievable(p, n, s), (p, n, s)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3, INF])
+def test_enumerate_refuses_a_negative_limit(p):
+    for q in (None, 5):
+        with pytest.raises(ValueError, match="limit must be >= 0"):
+            enumerate_achievable(p, 2, -1, q)
+    assert enumerate_achievable(p, 2, 0, q).achievable == (0,)
+
+
 def test_enumerate_cubes():
     # sums of two cubes up to 20: 0, 1, 2, 8, 9, 16
     assert enumerate_achievable(3, 2, 20).achievable == (0, 1, 2, 8, 9, 16)

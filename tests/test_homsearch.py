@@ -725,30 +725,30 @@ def test_classify_forks_one_child_per_share_beyond_its_own(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_classify_raises_when_a_child_dies_without_reporting(monkeypatch, jobs):
-    parent, search = os.getpid(), homsearch._classify_token
+    parent, search = os.getpid(), homsearch.search_homomorphisms
 
-    def dies_at_9(n, p, s, budget):
-        if s == 9 and os.getpid() != parent:
+    def dies_at_9(n, token, budget):
+        if token.power_value == 9 and os.getpid() != parent:
             os._exit(3)
-        return search(n, p, s, budget)
+        return search(n, token, budget)
 
     # tokens 1, 2, 4, 5, 8, 9, 10: s = 9 falls to the first child, and with
     # jobs=3 the second child is still unreaped when the parent raises
-    monkeypatch.setattr(homsearch, "_classify_token", dies_at_9)
+    monkeypatch.setattr(homsearch, "search_homomorphisms", dies_at_9)
     with pytest.raises(RuntimeError, match="exited with 3"):
         classify(2, 2, 10, jobs=jobs)
     assert_no_child_left()
 
 
 def test_classify_raises_the_least_failing_tokens_error(monkeypatch):
-    search = homsearch._classify_token
+    search = homsearch.search_homomorphisms
 
-    def fails_from_4(n, p, s, budget):
-        if s >= 4:
-            raise ValueError(f"token s={s}")
-        return search(n, p, s, budget)
+    def fails_from_4(n, token, budget):
+        if token.power_value >= 4:
+            raise ValueError(f"token s={token.power_value}")
+        return search(n, token, budget)
 
-    monkeypatch.setattr(homsearch, "_classify_token", fails_from_4)
+    monkeypatch.setattr(homsearch, "search_homomorphisms", fails_from_4)
     for jobs in (1, 2, 3, 8):
         with pytest.raises(ValueError, match=r"^token s=4$"):
             classify(2, 2, 10, jobs=jobs)

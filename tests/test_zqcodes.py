@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from group_helpers import all_linear_codes
+from group_helpers import all_linear_codes, closure
 
 from lpcodes import zqcodes
 from lpcodes.geometry import INF, RadiusToken, plee_distance
@@ -64,7 +64,30 @@ def test_rejects_bad_generators():
 
 
 def test_json_roundtrip():
-    assert LinearCodeZq.from_json(C49.to_json()) == C49
+    obj = C49.to_json()
+    assert LinearCodeZq(obj["q"], obj["n"], tuple(map(tuple, obj["generators"]))) == C49
+
+
+def test_codewords_equal_the_generator_closure():
+    for q in range(2, 9):
+        for n in (1, 2):
+            for code in all_linear_codes(q, n):
+                assert code.codewords() == closure(code), code
+    rng = random.Random(18)
+    for _ in range(60):
+        q = rng.randint(2, 12)
+        gens = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
+        code = LinearCodeZq(q, 3, gens)
+        words = code.codewords()
+        assert words == closure(code) and len(words) == code.cardinality, code
+
+
+def test_codewords_over_the_guard_are_refused_before_listing(monkeypatch):
+    monkeypatch.setattr(zqcodes, "MAX_BALL_POINTS", 13)
+    assert len(C13.codewords()) == 13
+    monkeypatch.setattr(zqcodes, "MAX_BALL_POINTS", 12)
+    with pytest.raises(ValueError, match="13 words, more than MAX_BALL_POINTS = 12"):
+        C13.codewords()
 
 
 # ----------------------------------------------------------------- balls
@@ -162,6 +185,39 @@ def brute_sup_packing_radius(code):
     while r < q // 2 and disjoint(r + 1):
         r += 1
     return RadiusToken(INF, r)
+
+
+def brute_packing_radius(code, p):
+    """Largest power value s of a point of Z_q^n whose p-Lee balls around
+    the codewords are pairwise disjoint: below the least s at which some
+    point lies within s of two codewords."""
+    q, n = code.q, code.n
+    points = list(itertools.product(range(q), repeat=n))
+    words = code.codewords()
+
+    def power(z, c):
+        return plee_distance(z, c, q, p).power_value
+
+    clash = min(sorted(power(z, c) for c in words)[1] for z in points)
+    return RadiusToken(p, max(power(z, (0,) * n) for z in points if power(z, (0,) * n) < clash))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_packing_radius_against_brute_force(p):
+    for q in range(2, 8):
+        for n in (1, 2):
+            for code in all_linear_codes(q, n):
+                if code.cardinality >= 2:
+                    assert code_packing_radius(code, p) == brute_packing_radius(code, p), code
+
+
+@pytest.mark.parametrize("q, p", [(2898, 2), (258, 3)])
+def test_packing_radius_over_a_large_alphabet(q, p):
+    # the radius is found long before the diameter of Z_q^2, where no
+    # distance table reaches
+    code = LinearCodeZq(q, 2, ((1, 3),))
+    assert code_packing_radius(code, p) == RadiusToken(p, 2)
+    assert not code_is_perfect(code, p, RadiusToken(p, 2))
 
 
 def test_packing_radius_sup_metric_against_brute_force():
