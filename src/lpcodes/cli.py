@@ -83,10 +83,9 @@ def _json_param(value):
     return value
 
 
-def _manifest(args, skip=("func", "out", "subcommand")):
-    params = {
-        k: _json_param(v) for k, v in sorted(vars(args).items()) if k not in skip
-    }
+def _manifest(args, skip=("func", "jobs", "out", "subcommand")):
+    # where the artifact goes and how many processes made it change no byte of it
+    params = {k: _json_param(v) for k, v in sorted(vars(args).items()) if k not in skip}
     return {"subcommand": args.subcommand, "parameters": params, "version": __version__}
 
 
@@ -193,6 +192,10 @@ def cmd_search(args):
 def cmd_bounds(args):
     from . import density
 
+    if args.csv and not args.table1:
+        raise ValueError("--csv needs --table1")
+    if args.n is not None and not args.survivors:
+        raise ValueError("--n needs --survivors")
     table = density.load_density_table(args.density_file)
     if args.table1:
         rows = density.threshold_table(table, args.p)
@@ -320,9 +323,10 @@ def build_parser():
     p_bounds.add_argument("--p", type=_int_at_least("p", 1), default=2)
     p_bounds.add_argument("--n", type=int)
     p_bounds.add_argument("--density-file")
-    p_bounds.add_argument("--table1", action="store_true", help="emit the threshold table")
-    p_bounds.add_argument("--survivors", action="store_true", help="density-surviving tokens for --n")
-    p_bounds.add_argument("--csv", action="store_true")
+    kind = p_bounds.add_mutually_exclusive_group()
+    kind.add_argument("--table1", action="store_true", help="emit the threshold table")
+    kind.add_argument("--survivors", action="store_true", help="density-surviving tokens for --n")
+    p_bounds.add_argument("--csv", action="store_true", help="the table as CSV (with --table1)")
     p_bounds.add_argument("--out")
     p_bounds.set_defaults(func=cmd_bounds)
 

@@ -1,16 +1,15 @@
 """An ordered map over forked worker processes.
 
 The region tiler and the classification sweep both split their work into
-independent items whose results are combined in item order.  ordered_map
-deals the items round-robin to the caller and up to jobs - 1 forked
-children; each child streams its results through a pipe as it finishes
-them, so the caller can stop at the first result it needs.
+independent items whose results are combined in item order, and both
+run them through ordered_map on any number of processes.  It deals the
+items round-robin to the caller and up to jobs - 1 forked children; each
+child streams its results through a pipe as it finishes them, so the
+caller can stop at the first result it needs.
 """
 
 import contextlib
 import os
-import pickle
-import signal
 
 __all__ = ["ordered_map"]
 
@@ -22,6 +21,7 @@ def _serve(write_fd, fn, items):
     registered (stdout, atexit, a test harness's capture) runs twice.  It
     exits 0 only once every result it owes is written.
     """
+    import pickle  # loaded already by the parent that forked this child
     code = 1
     try:
         with os.fdopen(write_fd, "wb") as pipe:
@@ -49,11 +49,14 @@ def ordered_map(fn, items, jobs):
     as a serial loop would raise it; a child that dies without reporting
     raises RuntimeError.  Closing the generator early, or any exception,
     kills and reaps every child left.  fn and the items reach the children
-    through fork, so only the results are pickled.  Without os.fork the
-    caller computes every item itself.
+    through fork, so only the results are pickled.  For jobs = 1, or
+    without os.fork, the caller computes every item itself: a plain loop.
     """
     items = list(items)
     k = max(1, min(jobs, len(items))) if hasattr(os, "fork") else 1
+    if k > 1:  # only a map that forks pickles results or kills children
+        import pickle
+        import signal
     children = []  # (pid, read end of its pipe) until reaped
     try:
         for w in range(1, k):

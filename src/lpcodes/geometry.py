@@ -144,23 +144,21 @@ def plee_distance(x, y, q, p):
     return RadiusToken(p, norm_power([lee_distance(a, b, q) for a, b in zip(x, y)], p))
 
 
-def induced_distance_oracle(x, y, q, p, shift_bound=1):
+def induced_distance_oracle(x, y, q, p):
     """Distance induced on Z_q^n by the l_p metric of Z^n, by brute force.
 
-    Minimizes d_p(x + q*t, y + q*w) over all integer shift vectors t, w
-    with entries in [-shift_bound, shift_bound].  The minimum separates
+    Minimizes d_p(x + q*t, y + q*w) over shift vectors t, w with entries
+    in {-1, 0, 1}, enough for residues in [0, q).  The minimum separates
     per coordinate (coordinate i only sees delta_i = t_i - w_i), so the
-    scan runs over delta in [-2*shift_bound, 2*shift_bound] coordinate by
-    coordinate; the value is exactly the doubly-quantified minimum.
+    scan runs over delta in [-2, 2] coordinate by coordinate.
     """
     p = check_exponent(p)
     x, y = _check_point(x), _check_point(y)
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    if q < 2 or shift_bound < 1:
-        raise ValueError("need q >= 2 and shift_bound >= 1")
-    deltas = range(-2 * shift_bound, 2 * shift_bound + 1)
-    per_coord = [min(abs(a - b + q * d) for d in deltas) for a, b in zip(x, y)]
+    if q < 2 or not all(0 <= c < q for c in x + y):
+        raise ValueError("residues must lie in [0, q) for a modulus q >= 2")
+    per_coord = [min(abs(a - b + q * d) for d in range(-2, 3)) for a, b in zip(x, y)]
     return RadiusToken(p, norm_power(per_coord, p))
 
 

@@ -47,6 +47,7 @@ residues examined, the rejected residues in bulk, and the budget bounds
 that count: a search that runs out records budget + 1.
 """
 
+import contextlib
 import itertools
 from bisect import bisect_left
 from collections import namedtuple
@@ -55,6 +56,7 @@ from math import gcd, prod
 from operator import mul
 
 from . import distance_sets, lattices
+from .forkmap import ordered_map
 from .geometry import RadiusToken, difference_set, enumerate_ball
 from .intmath import divisors
 from .lattices import IntegerLattice
@@ -484,32 +486,27 @@ def classify(n, p, s_max, budget=DEFAULT_BUDGET, jobs=1):
 
     s = 0 is excluded as trivial (the ball is the origin and Z^n itself
     tiles).  jobs counts the processes that search, the caller included:
-    with jobs > 1 the ascending tokens are dealt round-robin by
-    forkmap.ordered_map, at most one process per token, and the
-    outcomes come back in token order.  The first error in token order
-    is raised, as a serial run raises it; without os.fork the caller
-    searches alone.  Each found homomorphism's kernel is independently
-    re-verified as a perfect code, and the certificate is attached.
+    the ascending tokens are dealt round-robin by forkmap.ordered_map, at
+    most one process per token, and the outcomes come back in token
+    order, so the report is the same for every jobs.  The first error in
+    token order is raised, and any error stops and reaps the children.
+    Each found homomorphism's kernel is independently re-verified as a
+    perfect code as it comes back, and the certificate is attached.
     """
     tokens = [s for s in distance_sets.enumerate_achievable(p, n, s_max).achievable if s >= 1]
 
     def search(s):  # by its global name, which tracers and tests may wrap
         return search_homomorphisms(n, RadiusToken(p, s), budget)
 
-    if jobs > 1:  # a serial run loads no fork machinery
-        from .forkmap import ordered_map
-
-        outcomes = list(ordered_map(search, tokens, jobs))
-    else:
-        outcomes = map(search, tokens)
     verified = []
-    for out in outcomes:
-        if out.status == "found":
-            cert = lattices.verify_perfect(out.kernel, p, out.token)
-            if not cert.is_perfect:
-                raise AssertionError(
-                    f"kernel at s={out.token.power_value} failed re-verification"
-                )
-            out = out._replace(certificate=cert)
-        verified.append(out)
+    with contextlib.closing(ordered_map(search, tokens, jobs)) as outcomes:
+        for out in outcomes:
+            if out.status == "found":
+                cert = lattices.verify_perfect(out.kernel, p, out.token)
+                if not cert.is_perfect:
+                    raise AssertionError(
+                        f"kernel at s={out.token.power_value} failed re-verification"
+                    )
+                out = out._replace(certificate=cert)
+            verified.append(out)
     return ClassificationReport(n, p, s_max, budget, tuple(verified))

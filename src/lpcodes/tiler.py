@@ -25,8 +25,10 @@ run on several processes (forkmap.ordered_map) and be combined in
 candidate order into the serial search's outcome.
 """
 
+import contextlib
 from collections import namedtuple
 
+from .forkmap import ordered_map
 from .geometry import INF, RadiusToken, check_ball_size
 # unused here, but the tracer of bench/run.py wraps tiler.enumerate_ball
 from .geometry import enumerate_ball  # noqa: F401
@@ -150,11 +152,12 @@ def tile_region(footprint, extent, budget=10**7, jobs=1):
     in candidate order: the first subtree that completes gives the
     tiling, a running total over budget gives inconclusive with budget
     + 1 nodes, and otherwise the region is impossible, so status, centers
-    and nodes are the serial search's.  With jobs > 1 the subtrees are
-    dealt round-robin to up to `jobs` processes, the caller included
-    (forkmap.ordered_map); a forked subtree stops after budget nodes,
-    while one the caller runs stops where the serial search would, and
-    the workers still searching are stopped once the outcome is known.
+    and nodes are the serial search's.  The subtrees are dealt
+    round-robin to up to `jobs` processes, the caller included
+    (forkmap.ordered_map, which forks nothing for jobs = 1); a forked
+    subtree stops after budget nodes, while one the caller runs stops
+    where the serial search would, and the workers still searching are
+    stopped once the outcome is known.
 
     Raises ValueError, before any work, when the region has more than
     MAX_BALL_POINTS cells.
@@ -297,18 +300,11 @@ def tile_region(footprint, extent, budget=10**7, jobs=1):
         status, board, nodes = search(origin | mask, free ^ rmask, budget - spent - 1)
         return status, board, nodes + 1
 
-    results = (subtree(candidate) for candidate in root)
-    if jobs > 1:  # a serial run loads no fork machinery
-        from .forkmap import ordered_map
-
-        results = ordered_map(subtree, root, jobs)
-    try:
+    with contextlib.closing(ordered_map(subtree, root, jobs)) as results:
         for status, board, nodes in results:
             spent += nodes
             if spent > budget:
                 return TileResult("inconclusive", extent, footprint, (), budget + 1)
             if status == "completed":
                 return TileResult("completed", extent, footprint, tiling(board), spent)
-    finally:
-        results.close()  # stops and reaps the workers still searching
     return TileResult("impossible", extent, footprint, (), spent)

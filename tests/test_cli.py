@@ -384,6 +384,16 @@ def test_search_is_deterministic():
     assert a.stdout == b.stdout
 
 
+def test_search_output_is_the_same_for_every_process_count():
+    # the manifest leaves out --jobs, which changes no record
+    argv = ["search", "--n", "2", "--p", "2", "--s-max", "90", "--jobs"]
+    serial = run(*argv, "1")
+    assert serial.returncode == 0 and "jobs" not in serial.stdout.splitlines()[0]
+    for jobs in ("2", "3"):
+        proc = run(*argv, jobs)
+        assert (proc.returncode, proc.stdout) == (0, serial.stdout), jobs
+
+
 def test_search_reports_wall_time_on_stderr_only():
     proc = run("search", "--n", "2", "--p", "2", "--s-max", "4")
     assert "elapsed" in proc.stderr
@@ -426,6 +436,19 @@ def test_bounds_survivors():
     assert max(obj["survivors"]) == 91
     proc = run("bounds", "--survivors")
     assert proc.returncode == 1  # --n required
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--table1", "--survivors", "--n", "3"], "not allowed with argument"),
+    (["--csv"], "--csv needs --table1"),
+    (["--survivors", "--n", "3", "--csv"], "--csv needs --table1"),
+    (["--n", "3"], "--n needs --survivors"),
+    (["--table1", "--n", "3"], "--n needs --survivors"),
+])
+def test_bounds_refuses_flags_it_would_ignore(argv, message):
+    proc = run("bounds", *argv)
+    assert proc.returncode == 1
+    assert message in proc.stderr and proc.stdout == ""
 
 
 def test_bounds_custom_density_file(tmp_path):
@@ -601,7 +624,11 @@ def test_manifest_carries_version_and_parameters():
 # ------------------------------------------------------ import footprint
 
 def loaded_modules(*argv, package="lpcodes"):
-    """The modules of `package` a fresh interpreter imports, read from -X importtime."""
+    """The modules of `package` a fresh interpreter imports, read from -X importtime.
+
+    `package` is one top-level name or a tuple of them.
+    """
+    packages = (package,) if isinstance(package, str) else package
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True, timeout=300
     )
@@ -610,7 +637,7 @@ def loaded_modules(*argv, package="lpcodes"):
     for line in proc.stderr.splitlines():
         if line.startswith("import time:"):
             name = line.rsplit("|", 1)[1].strip()
-            if name.split(".")[0] == package:
+            if name.split(".")[0] in packages:
                 names.add(name)
     return names
 
@@ -649,6 +676,19 @@ def test_tile_region_loads_only_the_tiler_modules():
         assert loaded_modules(*argv, package=package) == set(), package
     # the fork map the search uses on several cores loads no pool either
     assert loaded_modules("-c", "import lpcodes.forkmap", package="multiprocessing") == set()
+
+
+def test_one_process_sweep_and_tiling_fork_nothing():
+    # both run through the fork map, which imports pickle and signal only to fork
+    code = (
+        "from lpcodes.geometry import RadiusToken, enumerate_ball\n"
+        "from lpcodes.homsearch import classify\n"
+        "from lpcodes.tiler import tile_region\n"
+        "assert classify(2, 2, 10, jobs=1).found_tokens == (1, 2, 4, 8)\n"
+        "assert tile_region(enumerate_ball(2, RadiusToken(2, 1)), 3, jobs=1).status == 'completed'\n"
+    )
+    assert "lpcodes.forkmap" in loaded_modules("-c", code)
+    assert loaded_modules("-c", code, package=("pickle", "signal")) == set()
 
 
 # ----------------------------------------------------------------- README

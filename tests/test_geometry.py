@@ -122,9 +122,17 @@ def test_plee_distance_values():
 
 
 def test_induced_oracle_values():
-    assert induced_distance_oracle((0, 0), (12, 12), 13, 2, 1) == RadiusToken(2, 2)
-    assert induced_distance_oracle((4, 4), (4, 4), 9, 2, 1) == RadiusToken(2, 0)
-    assert induced_distance_oracle((0,), (7,), 13, 1, 1) == RadiusToken(1, 6)
+    assert induced_distance_oracle((0, 0), (12, 12), 13, 2) == RadiusToken(2, 2)
+    assert induced_distance_oracle((4, 4), (4, 4), 9, 2) == RadiusToken(2, 0)
+    assert induced_distance_oracle((0,), (7,), 13, 1) == RadiusToken(1, 6)
+
+
+@pytest.mark.parametrize("x, y", [((100,), (0,)), ((0,), (5,)), ((1, -1), (0, 0))])
+def test_induced_oracle_refuses_non_residues_as_plee_distance_does(x, y):
+    # 100 is 0 mod 5, so no distance but 0 would be right for the first pair
+    for distance in (plee_distance, induced_distance_oracle):
+        with pytest.raises(ValueError, match=r"residues must lie in \[0, q\)"):
+            distance(x, y, 5, 2)
 
 
 @given(
@@ -140,7 +148,7 @@ def test_plee_equals_induced_metric(q, n, p, data):
     coords = st.integers(0, q - 1)
     x = tuple(data.draw(coords) for _ in range(n))
     y = tuple(data.draw(coords) for _ in range(n))
-    assert plee_distance(x, y, q, p) == induced_distance_oracle(x, y, q, p, 2)
+    assert plee_distance(x, y, q, p) == induced_distance_oracle(x, y, q, p)
 
 
 # ----------------------------------------------------------------- balls

@@ -34,7 +34,7 @@ from group_helpers import (
 )
 from hypothesis import given, settings, strategies as st
 
-from lpcodes import distance_sets, homsearch
+from lpcodes import distance_sets, homsearch, lattices
 from lpcodes.geometry import (
     INF,
     DifferenceSet,
@@ -738,6 +738,20 @@ def test_classify_raises_when_a_child_dies_without_reporting(monkeypatch, jobs):
     with pytest.raises(RuntimeError, match="exited with 3"):
         classify(2, 2, 10, jobs=jobs)
     assert_no_child_left()
+
+
+def test_classify_reaps_the_children_when_a_kernel_fails_verification(monkeypatch):
+    verify = lattices.verify_perfect
+
+    def refuses(kernel, p, token):
+        return verify(kernel, p, token)._replace(status="NOT_PERFECT")
+
+    monkeypatch.setattr(lattices, "verify_perfect", refuses)
+    with pytest.raises(AssertionError, match="s=1 failed re-verification") as caught:
+        classify(2, 2, 90, jobs=2)
+    # reaped by the time the error arrives, not when its traceback is dropped
+    assert_no_child_left()
+    assert caught.tb is not None
 
 
 def test_classify_raises_the_least_failing_tokens_error(monkeypatch):
