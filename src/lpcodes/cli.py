@@ -4,10 +4,10 @@ Each subcommand only computes and returns its artifact: a dict, a list
 of JSON-line records (search), or text (bounds --csv, render).  main
 owns the rest, once for all of them: it embeds the manifest (subcommand,
 parameters, library version) in a dict or as the first JSON line, writes
-the artifact to --out (render: --svg) or stdout, byte-identical across
-reruns with the same manifest, and sends wall time to stderr only.  Exit
-codes: 0 success, 1 usage or computation error, 2 when the artifact or
-one of its records is inconclusive.
+the artifact to --out or stdout, byte-identical across reruns with the
+same manifest, and sends wall time to stderr only.  Exit codes: 0
+success, 1 usage or computation error, 2 when the artifact or one of its
+records is inconclusive.
 """
 
 import argparse
@@ -171,9 +171,7 @@ def cmd_code(args):
     if code.cardinality >= 2:
         payload["minimum_distance_s"] = zqcodes.code_minimum_distance(code, args.p).power_value
         payload["packing_radius_s"] = zqcodes.code_packing_radius(code, args.p).power_value
-    if args.check_perfect:
-        if args.s is None:
-            raise ValueError("--check-perfect needs --s")
+    if args.s is not None:
         payload["perfect"] = zqcodes.code_is_perfect(code, args.p, RadiusToken(args.p, args.s))
     if args.transfer:
         payload["transfer"] = zqcodes.transfer_packing_radius(code, args.p).to_json()
@@ -194,17 +192,13 @@ def cmd_bounds(args):
 
     if args.csv and not args.table1:
         raise ValueError("--csv needs --table1")
-    if args.n is not None and not args.survivors:
-        raise ValueError("--n needs --survivors")
     table = density.load_density_table(args.density_file)
     if args.table1:
         rows = density.threshold_table(table, args.p)
         if args.csv:
             return "n,threshold\n" + "".join(f"{n},{t}\n" for n, t in rows)
         return {"thresholds": [{"n": n, "threshold": t} for n, t in rows]}
-    if args.survivors:
-        if args.n is None:
-            raise ValueError("--survivors needs --n")
+    if args.n is not None:
         delta = table.lookup(args.n, args.p)
         return {"survivors": density.surviving_radii(args.n, args.p, delta), "density": delta}
     return {"densities": [
@@ -229,26 +223,19 @@ def cmd_tile_region(args):
 
 
 def cmd_render(args):
+    from . import svg
+
     with open(args.input) as fh:
         text = fh.read()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError:
         return _render_search_lines(text)  # JSON-lines sweep report
-    return _render_object(obj)
-
-
-def _render_object(obj):
-    from . import svg
-
-    if "centers" in obj and obj.get("status") == "completed":
-        foot = enumerate_ball(2, _token_from(obj)).points
-        return svg.render_placements(foot, [tuple(c) for c in obj["centers"]])
-    if "points" in obj:
-        return svg.render_points(obj["points"])
-    if "status" in obj:  # impossible / inconclusive region runs: show the tile
+    if "points" in obj:  # a ball or B - B
+        return svg.render_placements(obj["points"], [(0, 0)])
+    if "status" in obj:  # a region run: its tiling, else the tile alone
         foot = enumerate_ball(obj["n"], _token_from(obj)).points
-        return svg.render_points(foot)
+        return svg.render_placements(foot, obj["centers"] or [(0, 0)])
     raise ValueError("input JSON is not a renderable artifact")
 
 
@@ -303,8 +290,7 @@ def build_parser():
     p_code.add_argument("--n", type=int, required=True)
     p_code.add_argument("--gen", type=_parse_row, action="append", help="generator row (repeatable)")
     p_code.add_argument("--p", type=_parse_exponent, required=True)
-    p_code.add_argument("--check-perfect", action="store_true")
-    p_code.add_argument("--s", type=int)
+    p_code.add_argument("--s", type=int, help="check the code perfect at this radius power")
     p_code.add_argument("--transfer", action="store_true", help="certify the lift transfer")
     p_code.add_argument("--out")
     p_code.set_defaults(func=cmd_code)
@@ -321,11 +307,10 @@ def build_parser():
 
     p_bounds = sub.add_parser("bounds", help="density thresholds and survivors")
     p_bounds.add_argument("--p", type=_int_at_least("p", 1), default=2)
-    p_bounds.add_argument("--n", type=int)
     p_bounds.add_argument("--density-file")
     kind = p_bounds.add_mutually_exclusive_group()
     kind.add_argument("--table1", action="store_true", help="emit the threshold table")
-    kind.add_argument("--survivors", action="store_true", help="density-surviving tokens for --n")
+    kind.add_argument("--n", type=int, help="density-surviving tokens in this dimension")
     p_bounds.add_argument("--csv", action="store_true", help="the table as CSV (with --table1)")
     p_bounds.add_argument("--out")
     p_bounds.set_defaults(func=cmd_bounds)
@@ -341,7 +326,7 @@ def build_parser():
 
     p_render = sub.add_parser("render", help="SVG from a ball/search/tile-region artifact")
     p_render.add_argument("--input", required=True)
-    p_render.add_argument("--svg", dest="out", metavar="SVG_OUT", required=True)
+    p_render.add_argument("--out")
     p_render.set_defaults(func=cmd_render)
 
     return parser

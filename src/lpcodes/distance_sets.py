@@ -14,7 +14,8 @@ the two-squares theorem, n = 3 via the 4^m(8k+7) exclusion, n >= 4
 everything).  Every other case goes through a dynamic-programming
 reachability table, which works for every finite (p, n, cap) and is
 the reference the test suite checks the closed forms against.  The
-table refuses limits above MAX_REACH_LIMIT before it allocates.
+table, and the list of achievable s for every p, refuse limits above
+MAX_REACH_LIMIT before they allocate.
 """
 
 from collections import namedtuple
@@ -23,8 +24,8 @@ from functools import lru_cache
 from .geometry import INF, norm_power
 from .intmath import factorize, iroot
 
-# sums_of_powers_reachable refuses tables over this many sums, which cost
-# n * limit**(1/p) shifts of a limit-bit integer and a limit-byte result.
+# Tables over this many sums cost n * limit**(1/p) shifts of a limit-bit
+# integer and a limit-byte result, and lists of every s about 120 bytes per s.
 # The suite and the sweeps stay far below: their largest table is 4,096.
 MAX_REACH_LIMIT = 2**22
 
@@ -42,6 +43,12 @@ __all__ = [
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")  # binary digits -> table bytes
 
 
+def _check_limit(p, n, limit):
+    if limit > MAX_REACH_LIMIT:
+        raise ValueError(f"the distance table for p={p}, n={n} up to {limit} exceeds "
+                         f"MAX_REACH_LIMIT = {MAX_REACH_LIMIT}")
+
+
 @lru_cache(maxsize=None)
 def sums_of_powers_reachable(p, n, limit, cap=None):
     """bytes table t with t[s] = 1 iff s <= limit is a sum of n p-th powers.
@@ -57,11 +64,7 @@ def sums_of_powers_reachable(p, n, limit, cap=None):
     """
     if p < 1 or n < 1 or limit < 0:
         raise ValueError("need p >= 1, n >= 1, limit >= 0")
-    if limit > MAX_REACH_LIMIT:
-        raise ValueError(
-            f"the distance table for p={p}, n={n} up to {limit} exceeds "
-            f"MAX_REACH_LIMIT = {MAX_REACH_LIMIT}"
-        )
+    _check_limit(p, n, limit)
     top = iroot(limit, p)
     if cap is not None:
         top = min(top, cap)
@@ -162,13 +165,14 @@ def enumerate_achievable(p, n, limit, q=None):
     """AchievabilityTable of every achievable s <= limit.
 
     p = 1 and p = inf list every s up to the corner of the capped box;
-    every other p reads the DP table.  A negative limit is refused for
-    every p.
+    every other p reads the DP table.  A negative limit, or one above
+    MAX_REACH_LIMIT, is refused for every p.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if limit < 0:
         raise ValueError("limit must be >= 0")
+    _check_limit(p, n, limit)
     cap = _cap(q)
     if p in (1, INF):
         vals = range((limit if cap is None else min(limit, norm_power((cap,) * n, p))) + 1)

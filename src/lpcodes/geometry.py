@@ -35,6 +35,7 @@ __all__ = [
     "plee_distance",
     "induced_distance_oracle",
     "check_ball_size",
+    "check_difference_set_size",
     "enumerate_ball",
     "ball_cardinality",
     "difference_set",
@@ -235,6 +236,18 @@ def check_ball_size(n, token):
         )
 
 
+def check_difference_set_size(n, token):
+    """Raise ValueError when the ball of twice the radius, which contains
+    B - B, has more than MAX_BALL_POINTS points."""
+    bound = ball_cardinality(n, token.doubled())
+    if bound > MAX_BALL_POINTS:
+        raise ValueError(
+            f"B - B of the ball n={n}, p={token.json_p()}, s={token.power_value} may have up to "
+            f"{bound} points (the ball of twice the radius), more than MAX_BALL_POINTS = "
+            f"{MAX_BALL_POINTS}"
+        )
+
+
 def enumerate_ball(n, token):
     """DiscreteBall for B_p^n(r), points in lexicographic order.
 
@@ -328,16 +341,11 @@ def difference_set(ball):
     int in signed digits of base 4 top + 1, so a - b is one subtraction.
 
     Raises ValueError, before visiting any pair, when the ball of twice
-    the radius, which contains B - B, has more than MAX_BALL_POINTS points.
+    the radius, which contains B - B, has more than MAX_BALL_POINTS points
+    (check_difference_set_size).
     """
     n, token = ball.dimension, ball.radius
-    bound = ball_cardinality(n, token.doubled())
-    if bound > MAX_BALL_POINTS:
-        raise ValueError(
-            f"B - B of the ball n={n}, p={token.json_p()}, s={token.power_value} may have up to "
-            f"{bound} points (the ball of twice the radius), more than MAX_BALL_POINTS = "
-            f"{MAX_BALL_POINTS}"
-        )
+    check_difference_set_size(n, token)
     top = token.floor_radius()
     w = 4 * top + 1
     # the points are sorted, so a fibre [-h, h] starts with h's negative

@@ -57,7 +57,8 @@ from operator import mul
 
 from . import distance_sets, lattices
 from .forkmap import ordered_map
-from .geometry import RadiusToken, difference_set, enumerate_ball
+from .geometry import RadiusToken, check_ball_size, check_difference_set_size
+from .geometry import difference_set, enumerate_ball
 from .intmath import divisors
 from .lattices import IntegerLattice
 
@@ -490,10 +491,24 @@ def classify(n, p, s_max, budget=DEFAULT_BUDGET, jobs=1):
     most one process per token, and the outcomes come back in token
     order, so the report is the same for every jobs.  The first error in
     token order is raised, and any error stops and reaps the children.
+    Ball sizes grow with s, so when the largest token fails the search's
+    size guards, the least failing one, found by bisection, raises first.
     Each found homomorphism's kernel is independently re-verified as a
     perfect code as it comes back, and the certificate is attached.
     """
     tokens = [s for s in distance_sets.enumerate_achievable(p, n, s_max).achievable if s >= 1]
+
+    def size_error(s):  # what the size guards of search_homomorphisms raise at s
+        token = RadiusToken(p, s)
+        try:
+            check_ball_size(n, token)
+            check_difference_set_size(n, token)
+        except ValueError as exc:
+            return exc
+        return None
+
+    if tokens and size_error(tokens[-1]):
+        raise size_error(tokens[bisect_left(tokens, True, key=lambda s: bool(size_error(s)))])
 
     def search(s):  # by its global name, which tracers and tests may wrap
         return search_homomorphisms(n, RadiusToken(p, s), budget)

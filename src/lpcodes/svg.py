@@ -6,9 +6,10 @@ as one filled square union per tile.  Output is plain text built in a
 fixed order with a fixed palette: identical inputs give identical bytes.
 """
 
-__all__ = ["render_points", "render_placements", "render_lattice_tiling"]
+__all__ = ["render_placements", "render_lattice_tiling"]
 
 SCALE = 20  # pixels per lattice unit
+WINDOW = 3  # a lattice tiling shows the combinations a, b in [-WINDOW, WINDOW]
 
 PALETTE = (
     "#4e79a7",
@@ -49,36 +50,17 @@ def _dot(x, y, xmin, ymax):
     return f'<circle cx="{px}" cy="{py}" r="2" fill="#000000"/>\n'
 
 
-def _bounds(cells):
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    return min(xs), min(ys), max(xs), max(ys)
-
-
-def render_points(points, fill=PALETTE[0]):
-    """SVG of a single 2-D point set as a polyomino with a dotted center."""
-    pts = [tuple(p) for p in points]
-    if any(len(p) != 2 for p in pts):
-        raise ValueError("only 2-D point sets can be rendered")
-    xmin, ymin, xmax, ymax = _bounds(pts)
-    parts = [_header(xmin, ymin, xmax, ymax)]
-    for x, y in sorted(pts):
-        parts.append(_square(x, y, xmin, ymax, fill))
-    if (0, 0) in pts:
-        parts.append(_dot(0, 0, xmin, ymax))
-    parts.append("</svg>\n")
-    return "".join(parts)
-
-
 def render_placements(footprint_points, centers):
-    """SVG of translated copies of one footprint, one palette color each."""
+    """SVG of translated copies of one footprint, one palette color each;
+    a point set is drawn as render_placements(points, [(0, 0)])."""
     foot = [tuple(p) for p in footprint_points]
     ctrs = [tuple(c) for c in centers]
     if any(len(c) != 2 for c in ctrs) or any(len(p) != 2 for p in foot):
         raise ValueError("only 2-D tilings can be rendered")
     cells = [(cx + px, cy + py) for cx, cy in ctrs for px, py in foot]
-    xmin, ymin, xmax, ymax = _bounds(cells)
-    parts = [_header(xmin, ymin, xmax, ymax)]
+    xs, ys = zip(*cells)
+    xmin, ymax = min(xs), max(ys)
+    parts = [_header(xmin, min(ys), max(xs), ymax)]
     for i, (cx, cy) in enumerate(ctrs):
         fill = PALETTE[i % len(PALETTE)]
         for px, py in foot:
@@ -89,18 +71,12 @@ def render_placements(footprint_points, centers):
     return "".join(parts)
 
 
-def render_lattice_tiling(footprint_points, basis, window=3):
+def render_lattice_tiling(footprint_points, basis):
     """SVG of the tiling by a lattice kernel: tiles at all lattice points
-    whose coordinates of the combination vector lie in [-window, window]."""
+    a * basis[0] + b * basis[1] with a, b in [-WINDOW, WINDOW]."""
     if len(basis) != 2 or any(len(r) != 2 for r in basis):
         raise ValueError("only 2-D lattices can be rendered")
-    centers = []
-    for a in range(-window, window + 1):
-        for b in range(-window, window + 1):
-            centers.append(
-                (
-                    a * basis[0][0] + b * basis[1][0],
-                    a * basis[0][1] + b * basis[1][1],
-                )
-            )
-    return render_placements(footprint_points, sorted(centers))
+    (a0, a1), (b0, b1) = basis
+    steps = range(-WINDOW, WINDOW + 1)
+    centers = sorted((a * a0 + b * b0, a * a1 + b * b1) for a in steps for b in steps)
+    return render_placements(footprint_points, centers)

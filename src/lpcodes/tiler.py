@@ -29,7 +29,7 @@ import contextlib
 from collections import namedtuple
 
 from .forkmap import ordered_map
-from .geometry import INF, RadiusToken, check_ball_size
+from .geometry import INF, MAX_BALL_POINTS
 # unused here, but the tracer of bench/run.py wraps tiler.enumerate_ball
 from .geometry import enumerate_ball  # noqa: F401
 
@@ -166,7 +166,12 @@ def tile_region(footprint, extent, budget=10**7, jobs=1):
     r = _integer_radius_of(footprint)
     if extent < 1:
         raise ValueError("extent must be positive")
-    check_ball_size(n, RadiusToken(INF, extent))  # the region is that ball
+    cells = (2 * extent + 1) ** n
+    if cells > MAX_BALL_POINTS:
+        raise ValueError(
+            f"the region [-{extent}, {extent}]^{n} has {cells} cells, "
+            f"more than MAX_BALL_POINTS = {MAX_BALL_POINTS}"
+        )
 
     span = extent + 2 * r  # cells any candidate tile can touch
     width = 2 * span + 1

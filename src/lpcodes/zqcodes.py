@@ -37,6 +37,8 @@ class LinearCodeZq(namedtuple("LinearCodeZq", "q n generators")):
     def __new__(cls, q, n, generators):
         if q < 2:
             raise ValueError("modulus must be >= 2")
+        if n < 1:
+            raise ValueError("dimension must be >= 1")
         for g in generators:
             if len(g) != n or any(not (0 <= c < q) for c in g):
                 raise ValueError(f"generator out of range for Z_{q}^{n}: {g!r}")

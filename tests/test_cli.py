@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, manifests, SVG."""
 
+import ast
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -91,7 +93,7 @@ ARTIFACT_SHA256 = {
         "03592067a828163085b4b8a375dee4722762f8caffad85db0db90bf6f2d2969a",
     "verify --basis 1,1;0,5 --p 2 --s 1":  # NOT_PERFECT
         "f9971a4ef8802519e00250b661d57c659c97908545863283ec484f84abb58b3e",
-    "code --q 13 --n 2 --gen 1,5 --p 2 --check-perfect --s 4 --transfer":
+    "code --q 13 --n 2 --gen 1,5 --p 2 --s 4 --transfer":
         "e4b889656fc8fb358c5c5760eedc354dfd1ad068a94ea9718d48e2d248ea76e7",
     "bounds --table1 --csv": "84bc114284b85e692e3d30fd9a7c84708205c9e4d4aedbc276033e5f261f734c",
     # the benchmark's l_2 plane sweep, the digest tests/test_homsearch.py pins
@@ -105,12 +107,16 @@ def test_artifact_is_byte_identical(tmp_path, monkeypatch, argv):
     assert artifact_sha256(tmp_path, monkeypatch, argv.split()) == ARTIFACT_SHA256[argv]
 
 
-def test_render_artifact_is_byte_identical(tmp_path, monkeypatch):
+def test_render_artifact_is_byte_identical(tmp_path, monkeypatch, capsys):
     tile = tmp_path / "tile.json"
     assert cli.main(["tile-region", "--n", "2", "--p", "2", "--r", "2", "--extent", "10",
                      "--out", str(tile)]) == 0
-    argv = ["render", "--input", str(tile), "--svg", str(tmp_path / "tile.svg")]
+    argv = ["render", "--input", str(tile)]
     digest = "df4aa6116273ebd0e3574acc9b40a5e32ce0cd289c38ee0f1fec96c16df279bc"
+    assert cli.main(argv + ["--out", str(tmp_path / "tile.svg")]) == 0
+    assert hashlib.sha256((tmp_path / "tile.svg").read_bytes()).hexdigest() == digest
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
     assert artifact_sha256(tmp_path, monkeypatch, argv) == digest
 
 
@@ -119,12 +125,12 @@ def test_render_artifact_is_byte_identical(tmp_path, monkeypatch):
     "ball --n 2 --p 1 --s 2 --diff",
     "distances --p 2 --n 2 --limit 20 --q 5",
     "verify --basis 1,1;0,5 --p 2 --s 1",
-    "code --q 13 --n 2 --gen 1,5 --p 2 --check-perfect --s 4 --transfer",
+    "code --q 13 --n 2 --gen 1,5 --p 2 --s 4 --transfer",
     "search --n 2 --p 2 --s-max 8",
     "search --n 2 --p 2 --s-max 8 --budget 3",
     "bounds",
     "bounds --table1 --csv",
-    "bounds --survivors --n 3",
+    "bounds --n 3",
     "tile-region --n 2 --p 2 --r 2 --extent 10",
     "tile-region --n 2 --p 2 --r 3 --extent 12 --budget 10",
 ])
@@ -174,6 +180,15 @@ def test_search_stops_at_the_difference_set_guard():
     proc = run("search", "--n", "10", "--p", "2", "--s-max", "100", "--budget", "10", timeout=30)
     assert proc.returncode == 1
     assert "n=10, p=2, s=4" in proc.stderr and "3083569 points" in proc.stderr
+
+
+def test_search_meets_the_size_guard_before_its_first_search():
+    # B - B of the Lee ball first outgrows the guard at s = 354, of 360 tokens
+    proc = run("search", "--n", "2", "--p", "1", "--s-max", "360", timeout=10)
+    assert proc.returncode == 1
+    assert ("lpcodes: error: B - B of the ball n=2, p=1, s=354 may have up to 1003945 points "
+            "(the ball of twice the radius), more than MAX_BALL_POINTS = 1000000\n") in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("jobs", ["2", "3"])
@@ -260,6 +275,10 @@ def test_distances_rejects_exponent_zero():
 @pytest.mark.parametrize("argv", [
     ("distances", "--p", "3", "--n", "2", "--limit", str(10**12)),
     ("verify", "--basis", "1,2;0,5", "--p", "3", "--s", str(10**12)),
+    # the lists of every s for p = 1 and p = inf, just over the guard
+    ("distances", "--p", "1", "--n", "2", "--limit", "4194305"),
+    ("distances", "--p", "inf", "--n", "2", "--limit", "4194305"),
+    ("search", "--n", "2", "--p", "1", "--s-max", "4194305"),
 ])
 def test_distance_table_over_the_guard_exits_1_quickly(argv):
     proc = run(*argv, timeout=30)
@@ -328,12 +347,12 @@ def test_code_subcommand():
     assert obj["cardinality"] == 13
     assert obj["minimum_distance_s"] == 13
     assert obj["packing_radius_s"] == 4
+    assert "perfect" not in obj  # perfection is checked at --s only
 
 
 def test_code_check_perfect_and_transfer():
     proc = run(
-        "code", "--q", "13", "--n", "2", "--gen", "1,5", "--p", "2",
-        "--check-perfect", "--s", "4", "--transfer",
+        "code", "--q", "13", "--n", "2", "--gen", "1,5", "--p", "2", "--s", "4", "--transfer",
     )
     obj = json.loads(proc.stdout)
     assert obj["perfect"] is True
@@ -349,15 +368,18 @@ def test_code_over_a_large_alphabet(q, p, capsys):
     assert obj["cardinality"] == int(q) and obj["packing_radius_s"] == 2
 
 
-def test_code_check_perfect_requires_s():
-    proc = run("code", "--q", "13", "--n", "2", "--gen", "1,5", "--p", "2", "--check-perfect")
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_code_rejects_dimension_below_1(n):
+    proc = run("code", "--q", "13", "--n", n, "--p", "2")
     assert proc.returncode == 1
+    assert "dimension must be >= 1" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_code_check_perfect_over_the_ball_guard_exits_1():
     # the Lee ball of s = 10 in Z_5^10 has more than a million words
     proc = run("code", "--q", "5", "--n", "10", "--gen", "1,1,1,1,1,1,1,1,1,1", "--p", "1",
-               "--check-perfect", "--s", "10", timeout=60)
+               "--s", "10", timeout=60)
     assert proc.returncode == 1
     assert "more than MAX_BALL_POINTS" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
@@ -431,19 +453,15 @@ def test_bounds_table1_csv():
 
 
 def test_bounds_survivors():
-    proc = run("bounds", "--survivors", "--n", "3")
+    proc = run("bounds", "--n", "3")
     obj = json.loads(proc.stdout)
     assert max(obj["survivors"]) == 91
-    proc = run("bounds", "--survivors")
-    assert proc.returncode == 1  # --n required
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--table1", "--survivors", "--n", "3"], "not allowed with argument"),
+    (["--table1", "--n", "3"], "not allowed with argument"),
     (["--csv"], "--csv needs --table1"),
-    (["--survivors", "--n", "3", "--csv"], "--csv needs --table1"),
-    (["--n", "3"], "--n needs --survivors"),
-    (["--table1", "--n", "3"], "--n needs --survivors"),
+    (["--n", "3", "--csv"], "--csv needs --table1"),
 ])
 def test_bounds_refuses_flags_it_would_ignore(argv, message):
     proc = run("bounds", *argv)
@@ -519,14 +537,14 @@ def test_tile_region_artifact_is_byte_identical(tmp_path, monkeypatch, n, r, ext
 def test_tile_region_over_the_size_guard_exits_1():
     proc = run("tile-region", "--n", "3", "--p", "2", "--r", "1", "--extent", "50", timeout=30)
     assert proc.returncode == 1
-    assert "1030301 points" in proc.stderr  # the region [-50, 50]^3
+    assert "the region [-50, 50]^3 has 1030301 cells" in proc.stderr
 
 
 def test_render_tile_result(tmp_path):
     art = tmp_path / "tile.json"
     svg = tmp_path / "tile.svg"
     run("tile-region", "--n", "2", "--p", "2", "--r", "2", "--extent", "10", "--out", str(art))
-    proc = run("render", "--input", str(art), "--svg", str(svg))
+    proc = run("render", "--input", str(art), "--out", str(svg))
     assert proc.returncode == 0
     text = svg.read_text()
     assert text.startswith("<svg") and "<rect" in text
@@ -536,7 +554,7 @@ def test_render_ball(tmp_path):
     art = tmp_path / "ball.json"
     svg = tmp_path / "ball.svg"
     run("ball", "--n", "2", "--p", "2", "--s", "4", "--out", str(art))
-    proc = run("render", "--input", str(art), "--svg", str(svg))
+    proc = run("render", "--input", str(art), "--out", str(svg))
     assert proc.returncode == 0
     assert svg.read_text().count("<rect") == 13
 
@@ -545,7 +563,7 @@ def test_render_search_lines(tmp_path):
     art = tmp_path / "search.jsonl"
     svg = tmp_path / "search.svg"
     run("search", "--n", "2", "--p", "2", "--s-max", "2", "--out", str(art))
-    proc = run("render", "--input", str(art), "--svg", str(svg))
+    proc = run("render", "--input", str(art), "--out", str(svg))
     assert proc.returncode == 0
     assert "<svg" in svg.read_text()
 
@@ -553,7 +571,7 @@ def test_render_search_lines(tmp_path):
 def test_render_rejects_garbage(tmp_path):
     art = tmp_path / "junk.json"
     art.write_text("not json at all")
-    proc = run("render", "--input", str(art), "--svg", str(tmp_path / "x.svg"))
+    proc = run("render", "--input", str(art), "--out", str(tmp_path / "x.svg"))
     assert proc.returncode == 1
 
 
@@ -564,10 +582,10 @@ def test_render_rejects_garbage(tmp_path):
     "ball --n 3 --p inf --s 1 --diff",
     "verify --basis 5,0;3,1 --p 1 --s 1",
     "verify --basis 4,0;0,4 --p 2 --s 2",
-    "code --q 5 --n 2 --gen 1,2 --p 1 --check-perfect --s 1 --transfer",
+    "code --q 5 --n 2 --gen 1,2 --p 1 --s 1 --transfer",
     "bounds",
     "bounds --table1",
-    "bounds --survivors --n 3",
+    "bounds --n 3",
     "distances --p 2 --n 2 --limit 30",
     "distances --p inf --n 3 --limit 4 --q 5",
     "tile-region --n 2 --p 2 --r 1 --extent 5",
@@ -710,3 +728,21 @@ def test_readme_cli_examples_run(tmp_path):
         )
         assert proc.returncode == 0, (argv, proc.stderr)
     assert (tmp_path / "tile.svg").read_text().startswith("<svg")
+
+
+def test_readme_library_tour_runs():
+    # each expression line equals the value its comment starts with; a
+    # trailing parenthetical note is prose
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## Library tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, checked = {}, 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        body = ast.parse(code).body
+        if body and isinstance(body[0], ast.Expr):
+            expected = re.sub(r"\s+\([^()]*\)$", "", comment.strip())
+            assert eval(code, namespace) == eval(expected, namespace), line
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 6

@@ -94,6 +94,16 @@ def test_enumerate_refuses_a_negative_limit(p):
     assert enumerate_achievable(p, 2, 0, q).achievable == (0,)
 
 
+@pytest.mark.parametrize("p", [1, INF])
+def test_enumerate_refuses_a_limit_over_the_guard_in_closed_form_too(p, monkeypatch):
+    monkeypatch.setattr(distance_sets, "MAX_REACH_LIMIT", 777)
+    assert len(enumerate_achievable(p, 3, 777).achievable) >= 9
+    name = "inf" if p == INF else p
+    with pytest.raises(ValueError, match=rf"^the distance table for p={name}, n=3 up to 778 "
+                                         r"exceeds MAX_REACH_LIMIT = 777$"):
+        enumerate_achievable(p, 3, 778)
+
+
 def test_enumerate_cubes():
     # sums of two cubes up to 20: 0, 1, 2, 8, 9, 16
     assert enumerate_achievable(3, 2, 20).achievable == (0, 1, 2, 8, 9, 16)

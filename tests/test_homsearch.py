@@ -769,6 +769,22 @@ def test_classify_raises_the_least_failing_tokens_error(monkeypatch):
     assert_no_child_left()
 
 
+def test_classify_raises_the_size_guard_before_any_search(monkeypatch):
+    # tokens 1..360; B - B of the Lee ball first outgrows the guard at s = 354
+    with pytest.raises(ValueError) as at_354:
+        search_homomorphisms(2, RadiusToken(1, 354))
+
+    def never(n, token, budget):
+        raise AssertionError(f"searched s={token.power_value}")
+
+    monkeypatch.setattr(homsearch, "search_homomorphisms", never)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError) as caught:
+            classify(2, 1, 360, jobs=jobs)
+        assert str(caught.value) == str(at_354.value)
+    assert_no_child_left()
+
+
 def test_classify_serialization_shape():
     report = classify(2, 2, 4)
     lines = json_lines(report).splitlines()

@@ -180,6 +180,12 @@ def test_trivial_footprint_tiles():
     assert result.nodes == 24
 
 
+def test_region_over_the_size_guard_is_refused_by_its_cell_count():
+    with pytest.raises(ValueError, match=r"^the region \[-1000, 1000\]\^2 has 4004001 cells, "
+                                         r"more than MAX_BALL_POINTS = 1000000$"):
+        tile_region(enumerate_ball(2, RadiusToken(2, 1)), 1000)
+
+
 def test_budget_returns_inconclusive():
     result = tile_region(BALL_R3, 12, budget=50)
     assert result.status == "inconclusive"

@@ -63,6 +63,12 @@ def test_rejects_bad_generators():
             LinearCodeZq(13, 2, (residues,))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_rejects_dimension_below_1(n):
+    with pytest.raises(ValueError, match="^dimension must be >= 1$"):
+        LinearCodeZq(13, n, ())
+
+
 def test_json_roundtrip():
     obj = C49.to_json()
     assert LinearCodeZq(obj["q"], obj["n"], tuple(map(tuple, obj["generators"]))) == C49
