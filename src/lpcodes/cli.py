@@ -203,7 +203,7 @@ def cmd_bounds(args):
         return {"survivors": density.surviving_radii(args.n, args.p, delta), "density": delta}
     return {"densities": [
         {"n": n, "p": p, "density": value, "expr": expr, "note": note}
-        for n, p, value, expr, note in table.entries
+        for n, p, value, expr, note in table.entries if p == args.p
     ]}
 
 

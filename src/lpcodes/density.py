@@ -100,7 +100,7 @@ class DensityTable(namedtuple("DensityTable", "entries")):
         for en, ep, value, _, _ in self.entries:
             if en == n and ep == p:
                 return value
-        raise KeyError(f"no density entry for (n={n}, p={p})")
+        raise ValueError(f"no density entry for (n={n}, p={p})")
 
     def covered(self, p):
         return sorted(n for n, ep, *_ in self.entries if ep == p)

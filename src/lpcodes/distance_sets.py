@@ -141,15 +141,9 @@ def is_achievable(p, n, s, q=None):
 
 
 class AchievabilityTable(namedtuple("AchievabilityTable", "p n limit q achievable")):
-    """All achievable distance powers up to a limit, for one (p, n, q).
-
-    `s in table` asks whether s is achievable, not whether it is a field.
-    """
+    """All achievable distance powers up to a limit, for one (p, n, q)."""
 
     __slots__ = ()
-
-    def __contains__(self, s):
-        return s in set(self.achievable)
 
     def to_json(self):
         return {

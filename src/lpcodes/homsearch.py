@@ -419,12 +419,12 @@ class _BudgetExceeded(Exception):
 
 class TokenOutcome(namedtuple(
         "TokenOutcome",
-        "n token status ball_size homomorphism kernel candidates_examined certificate",
-        defaults=(None,))):
+        "n token status ball_size homomorphism kernel candidates_examined certificate")):
     """Result of the homomorphism search at one radius token.
 
-    status is found, exhausted, inconclusive or skipped; certificate is
-    None until classify attaches the re-verification of a found kernel.
+    status is found, exhausted or inconclusive.  A found outcome carries
+    the kernel's PERFECT certificate from lattices.verify_perfect, made
+    by the search that found it; the others carry None.
     """
 
     __slots__ = ()
@@ -452,13 +452,15 @@ class TokenOutcome(namedtuple(
 def search_homomorphisms(n, token, budget=DEFAULT_BUDGET):
     """Search the index-mu_p(n, r) sublattices of Z^n for a tiling kernel.
 
-    Unachievable tokens are skipped outright: the packing radius of any
-    code lies in the distance set, so nothing can be r-perfect there.
-    The Hermite walk is deterministic, so exhausted counts are
-    reproducible.
+    An unachievable token is refused with a ValueError: the packing
+    radius of any code lies in the distance set, so nothing can be
+    r-perfect there.  A found kernel is re-verified as a perfect code
+    here, and an AssertionError is raised if it fails.  The Hermite walk
+    is deterministic, so exhausted counts are reproducible.
     """
-    if not distance_sets.is_achievable(token.p, n, token.power_value):
-        return TokenOutcome(n, token, "skipped", 0, None, None, 0)
+    s = token.power_value
+    if not distance_sets.is_achievable(token.p, n, s):
+        raise ValueError(f"s={s} is not an achievable distance power for (p={token.p}, n={n})")
     ball = enumerate_ball(n, token)
     m = ball.cardinality
     slices = _slices(difference_set(ball).reach, n)
@@ -466,14 +468,17 @@ def search_homomorphisms(n, token, budget=DEFAULT_BUDGET):
     try:
         kernel = _find_kernel(n, m, slices, budget, counter)
     except _BudgetExceeded:
-        return TokenOutcome(n, token, "inconclusive", m, None, None, counter[0])
+        return TokenOutcome(n, token, "inconclusive", m, None, None, counter[0], None)
     if kernel is None:
-        return TokenOutcome(n, token, "exhausted", m, None, None, counter[0])
-    return TokenOutcome(n, token, "found", m, kernel_homomorphism(kernel), kernel, counter[0])
+        return TokenOutcome(n, token, "exhausted", m, None, None, counter[0], None)
+    cert = lattices.verify_perfect(kernel, token.p, token)
+    if not cert.is_perfect:
+        raise AssertionError(f"kernel at s={s} failed re-verification")
+    return TokenOutcome(n, token, "found", m, kernel_homomorphism(kernel), kernel, counter[0], cert)
 
 
-class ClassificationReport(namedtuple("ClassificationReport", "n p s_max budget outcomes")):
-    """Sweep of all achievable tokens up to s_max for fixed (n, p)."""
+class ClassificationReport(namedtuple("ClassificationReport", "outcomes")):
+    """The outcomes of a sweep, one per achievable token, in token order."""
 
     __slots__ = ()
 
@@ -493,8 +498,8 @@ def classify(n, p, s_max, budget=DEFAULT_BUDGET, jobs=1):
     token order is raised, and any error stops and reaps the children.
     Ball sizes grow with s, so when the largest token fails the search's
     size guards, the least failing one, found by bisection, raises first.
-    Each found homomorphism's kernel is independently re-verified as a
-    perfect code as it comes back, and the certificate is attached.
+    Each found kernel comes back certified by the process that searched
+    it (search_homomorphisms).
     """
     tokens = [s for s in distance_sets.enumerate_achievable(p, n, s_max).achievable if s >= 1]
 
@@ -513,15 +518,5 @@ def classify(n, p, s_max, budget=DEFAULT_BUDGET, jobs=1):
     def search(s):  # by its global name, which tracers and tests may wrap
         return search_homomorphisms(n, RadiusToken(p, s), budget)
 
-    verified = []
     with contextlib.closing(ordered_map(search, tokens, jobs)) as outcomes:
-        for out in outcomes:
-            if out.status == "found":
-                cert = lattices.verify_perfect(out.kernel, p, out.token)
-                if not cert.is_perfect:
-                    raise AssertionError(
-                        f"kernel at s={out.token.power_value} failed re-verification"
-                    )
-                out = out._replace(certificate=cert)
-            verified.append(out)
-    return ClassificationReport(n, p, s_max, budget, tuple(verified))
+        return ClassificationReport(tuple(outcomes))

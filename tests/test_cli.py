@@ -458,6 +458,19 @@ def test_bounds_survivors():
     assert max(obj["survivors"]) == 91
 
 
+@pytest.mark.parametrize("argv, n, p", [(["--n", "1"], 1, 2), (["--n", "3", "--p", "1"], 3, 1)])
+def test_bounds_without_a_density_entry_exits_1(argv, n, p):
+    proc = run("bounds", *argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines()[0] == f"lpcodes: error: no density entry for (n={n}, p={p})"
+
+
+def test_bounds_lists_only_the_entries_of_its_p():
+    proc = run("bounds", "--p", "3")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["densities"] == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--table1", "--n", "3"], "not allowed with argument"),
     (["--csv"], "--csv needs --table1"),

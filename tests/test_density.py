@@ -37,7 +37,7 @@ def test_shipped_table_contents():
 
 
 def test_lookup_miss_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"^no density entry for \(n=9, p=2\)$"):
         TABLE.lookup(9, 2)
     assert TABLE.covered(2) == [2, 3, 4, 5, 6, 7, 8, 24]
     assert TABLE.covered(3) == []

@@ -66,7 +66,7 @@ def test_two_and_three_square_helpers():
 def test_enumerate_two_squares():
     table = enumerate_achievable(2, 2, 10)
     assert table.achievable == (0, 1, 2, 4, 5, 8, 9, 10)
-    assert 5 in table and 7 not in table
+    assert 5 in table.achievable and 7 not in table.achievable
 
 
 def test_enumerate_trivial_line():

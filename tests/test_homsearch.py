@@ -215,11 +215,22 @@ def test_kernel_homomorphism_inverts_kernel_lattice():
             assert kernel_lattice(phi) == kernel, rows
 
 
-def test_search_skips_unachievable_radii():
+def test_search_refuses_unachievable_radii():
     for s in (3, 6, 7):
-        out = search_homomorphisms(2, RadiusToken(2, s))
-        assert out.status == "skipped"
-        assert out.ball_size == 0 and out.candidates_examined == 0
+        with pytest.raises(ValueError, match=rf"^s={s} is not an achievable distance power "
+                                             r"for \(p=2, n=2\)$"):
+            search_homomorphisms(2, RadiusToken(2, s))
+
+
+def test_search_certifies_only_what_it_finds():
+    found = search_homomorphisms(2, RadiusToken(2, 4))
+    assert found.status == "found"
+    assert found.certificate == verify_perfect(found.kernel, 2, RadiusToken(2, 4))
+    assert found.certificate.status == "PERFECT"
+    exhausted = search_homomorphisms(2, RadiusToken(2, 5))
+    inconclusive = search_homomorphisms(2, RadiusToken(2, 25), budget=5)
+    assert (exhausted.status, inconclusive.status) == ("exhausted", "inconclusive")
+    assert exhausted.certificate is None and inconclusive.certificate is None
 
 
 def test_search_respects_budget():
@@ -307,10 +318,10 @@ def brute_force_search(n, token):
 
 def test_brute_force_agrees_on_small_tokens():
     for s in range(1, 11):
+        if not distance_sets.is_achievable(2, 2, s):
+            continue
         token = RadiusToken(2, s)
         out = search_homomorphisms(2, token)
-        if out.status == "skipped":
-            continue
         brute = brute_force_search(2, token)
         assert (brute is not None) == (out.status == "found"), s
         if brute is not None:
@@ -441,6 +452,7 @@ WALK_GRID = [
                         (3, 1, 4), (3, 2, 9), (3, 3, 16), (3, INF, 2),
                         (4, 1, 2), (4, 2, 3))
     for s in range(1, s_max + 1)
+    if distance_sets.is_achievable(p, n, s)
 ]
 
 
@@ -448,8 +460,6 @@ def test_walk_matches_the_reference_walk():
     nodes, skipped = [], []
     for n, p, s in WALK_GRID:
         token = RadiusToken(p, s)
-        if search_homomorphisms(n, token, budget=0).status == "skipped":
-            continue
         for budget in (1, 2, 5, 37, 100, DEFAULT_BUDGET):
             status, rows, candidates = reference_search(n, token, budget, nodes, skipped)
             out = search_homomorphisms(n, token, budget=budget)
