@@ -21,7 +21,7 @@ import time
 # Each subcommand imports the library modules it runs when it runs, so that
 # a call loads (and, without cached bytecode, compiles) only those.
 from . import __version__
-from .geometry import INF, RadiusToken, difference_set, enumerate_ball
+from .geometry import RadiusToken, difference_set, enumerate_ball, exponent_json, read_exponent
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,15 +33,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_exponent(text):
-    if text.lower() in ("inf", "infty", "infinity", "oo"):
-        return INF
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"exponent must be a positive integer or 'inf': {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("exponent must be >= 1")
-    return value
+        return read_exponent(text)
+    except ValueError as exc:  # argparse prints only this error's message
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _int_at_least(name, least):
@@ -67,20 +62,11 @@ def _parse_row(text):
 
 
 def _parse_basis(text):
-    rows = []
-    for chunk in text.split(";"):
-        rows.append(_parse_row(chunk))
-    if len({len(r) for r in rows}) != 1:
-        raise argparse.ArgumentTypeError(f"ragged basis rows: {text!r}")
-    return tuple(rows)
+    return tuple(map(_parse_row, text.split(";")))  # IntegerLattice refuses ragged rows
 
 
 def _json_param(value):
-    if value == INF:
-        return "inf"
-    if isinstance(value, tuple):
-        return [_json_param(v) for v in value]
-    return value
+    return [_json_param(v) for v in value] if isinstance(value, tuple) else exponent_json(value)
 
 
 def _manifest(args, skip=("func", "jobs", "out", "subcommand")):
@@ -158,7 +144,7 @@ def cmd_distances(args):
 def cmd_verify(args):
     from .lattices import IntegerLattice, verify_perfect
 
-    lat = IntegerLattice.from_rows(args.basis, len(args.basis[0]))
+    lat = IntegerLattice.from_rows(args.basis)
     return verify_perfect(lat, args.p, RadiusToken(args.p, args.s)).to_json()
 
 
@@ -231,30 +217,40 @@ def cmd_render(args):
         obj = json.loads(text)
     except json.JSONDecodeError:
         return _render_search_lines(text)  # JSON-lines sweep report
+    if not isinstance(obj, dict):
+        raise ValueError("the input is not a JSON object")
     if "points" in obj:  # a ball or B - B
         return svg.render_placements(obj["points"], [(0, 0)])
     if "status" in obj:  # a region run: its tiling, else the tile alone
-        foot = enumerate_ball(obj["n"], _token_from(obj)).points
-        return svg.render_placements(foot, obj["centers"] or [(0, 0)])
+        foot = enumerate_ball(_field(obj, "n"), _token_from(obj)).points
+        return svg.render_placements(foot, _field(obj, "centers") or [(0, 0)])
     raise ValueError("input JSON is not a renderable artifact")
 
 
 def _render_search_lines(text):
     from . import svg
 
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         rec = json.loads(line)
+        if not isinstance(rec, dict):
+            raise ValueError(f"line {number} of the input is not a JSON object")
         if rec.get("status") == "found" and rec.get("n") == 2:
             foot = enumerate_ball(2, _token_from(rec)).points
-            return svg.render_lattice_tiling(foot, rec["kernel"]["basis"])
+            return svg.render_lattice_tiling(foot, _field(_field(rec, "kernel"), "basis"))
     raise ValueError("no renderable found-outcome in search report")
 
 
-def _token_from(obj):
-    p = INF if obj["p"] == "inf" else obj["p"]
-    return RadiusToken(p, obj["s"])
+def _field(record, key):
+    """record[key] of a JSON record that render reads, else ValueError naming the key."""
+    if not isinstance(record, dict) or key not in record:
+        raise ValueError(f"the input record has no {key!r}")
+    return record[key]
+
+
+def _token_from(record):
+    return RadiusToken(read_exponent(_field(record, "p")), _field(record, "s"))
 
 
 def build_parser():
@@ -262,72 +258,62 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p_ball = sub.add_parser("ball", help="enumerate a discrete l_p ball")
+    def command(name, func, help):  # every subcommand writes its artifact to --out or stdout
+        cmd = sub.add_parser(name, help=help)
+        cmd.add_argument("--out")
+        cmd.set_defaults(func=func)
+        return cmd
+
+    p_ball = command("ball", cmd_ball, "enumerate a discrete l_p ball")
     p_ball.add_argument("--n", type=int, required=True)
     p_ball.add_argument("--p", type=_parse_exponent, required=True)
     p_ball.add_argument("--s", type=int, required=True, help="radius power r^p (radius itself for p=inf)")
     p_ball.add_argument("--diff", action="store_true", help="emit B - B instead of B")
-    p_ball.add_argument("--out")
-    p_ball.set_defaults(func=cmd_ball)
 
-    p_dist = sub.add_parser("distances", help="achievable distance powers")
+    p_dist = command("distances", cmd_distances, "achievable distance powers")
     p_dist.add_argument("--p", type=_parse_exponent, required=True)
     p_dist.add_argument("--n", type=int, required=True)
     p_dist.add_argument("--limit", type=int, required=True)
     p_dist.add_argument("--q", type=int)
-    p_dist.add_argument("--out")
-    p_dist.set_defaults(func=cmd_distances)
 
-    p_verify = sub.add_parser("verify", help="certify a lattice perfect or not")
+    p_verify = command("verify", cmd_verify, "certify a lattice perfect or not")
     p_verify.add_argument("--basis", type=_parse_basis, required=True, help='rows as "a,b;c,d"')
     p_verify.add_argument("--p", type=_parse_exponent, required=True)
     p_verify.add_argument("--s", type=int, required=True)
-    p_verify.add_argument("--out")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_code = sub.add_parser("code", help="linear code over Z_q and its lift")
+    p_code = command("code", cmd_code, "linear code over Z_q and its lift")
     p_code.add_argument("--q", type=int, required=True)
     p_code.add_argument("--n", type=int, required=True)
     p_code.add_argument("--gen", type=_parse_row, action="append", help="generator row (repeatable)")
     p_code.add_argument("--p", type=_parse_exponent, required=True)
     p_code.add_argument("--s", type=int, help="check the code perfect at this radius power")
     p_code.add_argument("--transfer", action="store_true", help="certify the lift transfer")
-    p_code.add_argument("--out")
-    p_code.set_defaults(func=cmd_code)
 
-    p_search = sub.add_parser("search", help="classify tokens by homomorphism search")
+    p_search = command("search", cmd_search, "classify tokens by homomorphism search")
     p_search.add_argument("--n", type=int, required=True)
     p_search.add_argument("--p", type=_parse_exponent, required=True)
     p_search.add_argument("--s-max", type=int, required=True)
     p_search.add_argument("--budget", type=_int_at_least("budget", 0))
     p_search.add_argument("--jobs", type=_int_at_least("jobs", 1), default=1,
                           help="processes that search, this one included")
-    p_search.add_argument("--out")
-    p_search.set_defaults(func=cmd_search)
 
-    p_bounds = sub.add_parser("bounds", help="density thresholds and survivors")
+    p_bounds = command("bounds", cmd_bounds, "density thresholds and survivors")
     p_bounds.add_argument("--p", type=_int_at_least("p", 1), default=2)
     p_bounds.add_argument("--density-file")
     kind = p_bounds.add_mutually_exclusive_group()
     kind.add_argument("--table1", action="store_true", help="emit the threshold table")
     kind.add_argument("--n", type=int, help="density-surviving tokens in this dimension")
     p_bounds.add_argument("--csv", action="store_true", help="the table as CSV (with --table1)")
-    p_bounds.add_argument("--out")
-    p_bounds.set_defaults(func=cmd_bounds)
 
-    p_tile = sub.add_parser("tile-region", help="bounded-region exact cover by ball translates")
+    p_tile = command("tile-region", cmd_tile_region, "bounded-region exact cover by ball translates")
     p_tile.add_argument("--n", type=int, required=True)
     p_tile.add_argument("--p", type=_parse_exponent, required=True)
     p_tile.add_argument("--r", type=int, required=True, help="integer ball radius")
     p_tile.add_argument("--extent", type=int, required=True)
     p_tile.add_argument("--budget", type=_int_at_least("budget", 0), default=10**7)
-    p_tile.add_argument("--out")
-    p_tile.set_defaults(func=cmd_tile_region)
 
-    p_render = sub.add_parser("render", help="SVG from a ball/search/tile-region artifact")
+    p_render = command("render", cmd_render, "SVG from a ball/search/tile-region artifact")
     p_render.add_argument("--input", required=True)
-    p_render.add_argument("--out")
-    p_render.set_defaults(func=cmd_render)
 
     return parser
 
@@ -343,7 +329,7 @@ def main(argv=None):
         elif isinstance(artifact, list):
             artifact.insert(0, {"manifest": _manifest(args)})
         _emit(artifact, args.out)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"lpcodes: error: {exc}", file=sys.stderr)
         return 1
     finally:

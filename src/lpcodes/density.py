@@ -15,6 +15,7 @@ integer-rounded outputs).
 import ast
 import json
 import math
+import operator
 from collections import namedtuple
 from importlib import resources
 
@@ -36,48 +37,36 @@ __all__ = [
 
 _EVAL_NAMES = {"pi": math.pi, "e": math.e}
 _EVAL_FUNCS = {"sqrt": math.sqrt, "factorial": math.factorial, "log": math.log}
+_EVAL_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+             ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
 def _eval_expr(text):
     """Evaluate a constant arithmetic expression like "pi/(3*sqrt(2))".
 
     Only numbers, the names pi/e, calls to sqrt/factorial/log, and the
-    operators + - * / ** (with ^ accepted for **) are allowed.
+    operators + - * / ** (with ^ accepted for **) are allowed; anything
+    else, a syntax error included, is a ValueError.
     """
-    tree = ast.parse(str(text).replace("^", "**"), mode="eval")
 
     def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
         if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
             return node.value
         if isinstance(node, ast.Name) and node.id in _EVAL_NAMES:
             return _EVAL_NAMES[node.id]
-        if isinstance(node, ast.BinOp):
-            ops = {ast.Add: 1, ast.Sub: 1, ast.Mult: 1, ast.Div: 1, ast.Pow: 1}
-            if type(node.op) in ops:
-                a, b = ev(node.left), ev(node.right)
-                if isinstance(node.op, ast.Add):
-                    return a + b
-                if isinstance(node.op, ast.Sub):
-                    return a - b
-                if isinstance(node.op, ast.Mult):
-                    return a * b
-                if isinstance(node.op, ast.Div):
-                    return a / b
-                return a**b
+        if isinstance(node, ast.BinOp) and type(node.op) in _EVAL_OPS:
+            return _EVAL_OPS[type(node.op)](ev(node.left), ev(node.right))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return -ev(node.operand)
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in _EVAL_FUNCS
-            and not node.keywords
-        ):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _EVAL_FUNCS and not node.keywords):
             return _EVAL_FUNCS[node.func.id](*(ev(a) for a in node.args))
         raise ValueError(f"disallowed expression element: {ast.dump(node)}")
 
-    return float(ev(tree))
+    try:
+        return float(ev(ast.parse(str(text).replace("^", "**"), mode="eval").body))
+    except (SyntaxError, ArithmeticError, TypeError) as exc:  # "pi/", "1/0", "sqrt()"
+        raise ValueError(f"{text!r} is not a number: {getattr(exc, 'msg', exc)}") from None
 
 
 class DensityTable(namedtuple("DensityTable", "entries")):
@@ -107,13 +96,24 @@ class DensityTable(namedtuple("DensityTable", "entries")):
 
     @classmethod
     def from_json(cls, records):
+        """The table of a JSON list of {"n", "p", "density"[, "note"]} objects, else ValueError."""
+        if not isinstance(records, list):
+            raise ValueError("a density table is a JSON list of records")
         entries = []
-        for rec in records:
+        for i, rec in enumerate(records):
+            if not isinstance(rec, dict):
+                raise ValueError(f"density record {i} is not a JSON object")
+            for key in ("n", "p", "density"):
+                if key not in rec:
+                    raise ValueError(f"density record {i} has no {key!r}")
+                if key != "density" and type(rec[key]) is not int:
+                    raise ValueError(f"density record {i}: {key!r} must be an integer, got {rec[key]!r}")
             raw = rec["density"]
-            value = float(raw) if isinstance(raw, (int, float)) else _eval_expr(raw)
-            entries.append(
-                (int(rec["n"]), int(rec["p"]), value, str(raw), rec.get("note", ""))
-            )
+            try:
+                value = float(raw) if isinstance(raw, (int, float)) else _eval_expr(raw)
+            except ValueError as exc:
+                raise ValueError(f"density record {i}: {exc}") from None
+            entries.append((rec["n"], rec["p"], value, str(raw), rec.get("note", "")))
         return cls(tuple(entries))
 
 

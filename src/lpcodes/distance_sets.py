@@ -21,7 +21,7 @@ MAX_REACH_LIMIT before they allocate.
 from collections import namedtuple
 from functools import lru_cache
 
-from .geometry import INF, norm_power
+from .geometry import INF, exponent_json, norm_power
 from .intmath import factorize, iroot
 
 # Tables over this many sums cost n * limit**(1/p) shifts of a limit-bit
@@ -33,6 +33,7 @@ __all__ = [
     "MAX_REACH_LIMIT",
     "AchievabilityTable",
     "is_achievable",
+    "check_achievable",
     "enumerate_achievable",
     "sums_of_powers_reachable",
     "is_sum_of_two_squares",
@@ -140,6 +141,13 @@ def is_achievable(p, n, s, q=None):
     return sums_of_powers_reachable(p, n, _reach_limit(s))[s] == 1
 
 
+def check_achievable(p, n, s, q=None):
+    """Refuse, with a ValueError, an s that is_achievable(p, n, s, q) rejects."""
+    if not is_achievable(p, n, s, q):
+        kind, group = ("distance", "") if q is None else ("p-Lee", f", q={q}")
+        raise ValueError(f"s={s} is not an achievable {kind} power for (p={p}, n={n}{group})")
+
+
 class AchievabilityTable(namedtuple("AchievabilityTable", "p n limit q achievable")):
     """All achievable distance powers up to a limit, for one (p, n, q)."""
 
@@ -147,7 +155,7 @@ class AchievabilityTable(namedtuple("AchievabilityTable", "p n limit q achievabl
 
     def to_json(self):
         return {
-            "p": "inf" if self.p == INF else self.p,
+            "p": exponent_json(self.p),
             "n": self.n,
             "limit": self.limit,
             "q": self.q,

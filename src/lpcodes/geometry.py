@@ -7,6 +7,7 @@ to integer comparisons, so balls, difference sets and overlap tests are
 exact for any exponent and any size input.
 """
 
+import contextlib
 import functools
 import itertools
 import math
@@ -26,6 +27,8 @@ __all__ = [
     "INF",
     "MAX_BALL_POINTS",
     "check_exponent",
+    "read_exponent",
+    "exponent_json",
     "norm_power",
     "RadiusToken",
     "DiscreteBall",
@@ -49,9 +52,26 @@ def check_exponent(p):
     """p itself if it names a metric (an integer >= 1 or inf), else ValueError."""
     if p == INF:
         return INF
-    if isinstance(p, bool) or not isinstance(p, int) or p < 1:
-        raise ValueError(f"exponent must be an integer >= 1 or inf, got {p!r}")
+    if type(p) is not int:
+        raise ValueError(f"exponent must be a positive integer or 'inf': {p!r}")
+    if p < 1:
+        raise ValueError("exponent must be >= 1")
     return p
+
+
+def read_exponent(value):
+    """The exponent outside input names: an int, its text, or inf/infty/infinity/oo."""
+    if isinstance(value, str):
+        if value.lower() in ("inf", "infty", "infinity", "oo"):
+            return INF
+        with contextlib.suppress(ValueError):
+            value = int(value)
+    return check_exponent(value)
+
+
+def exponent_json(p):
+    """The JSON value of an exponent, which read_exponent reads back: p, or "inf"."""
+    return "inf" if p == INF else p
 
 
 def _check_point(x):
@@ -114,7 +134,7 @@ class RadiusToken(namedtuple("RadiusToken", "p power_value")):
         return RadiusToken(self.p, self.power_value * (2 if self.p == INF else 2**self.p))
 
     def json_p(self):
-        return "inf" if self.p == INF else self.p
+        return exponent_json(self.p)
 
 
 def lp_distance(x, y, p):
@@ -183,12 +203,7 @@ class DiscreteBall(namedtuple("DiscreteBall", "dimension radius points")):
         return norm_power(x, self.radius.p) <= self.radius.power_value
 
     def to_json(self):
-        return {
-            "n": self.dimension,
-            "p": self.radius.json_p(),
-            "s": self.radius.power_value,
-            "points": [list(pt) for pt in self.points],
-        }
+        return _points_json(self.dimension, self.radius, self.points)
 
 
 class DifferenceSet(namedtuple("DifferenceSet", "dimension source_radius reach")):
@@ -211,12 +226,12 @@ class DifferenceSet(namedtuple("DifferenceSet", "dimension source_radius reach")
         return sum(2 * t + 1 for t in self.reach.values())
 
     def to_json(self):
-        return {
-            "n": self.dimension,
-            "p": self.source_radius.json_p(),
-            "s": self.source_radius.power_value,
-            "points": [list(pt) for pt in self.points],
-        }
+        return _points_json(self.dimension, self.source_radius, self.points)
+
+
+def _points_json(n, token, points):
+    return {"n": n, "p": token.json_p(), "s": token.power_value,
+            "points": [list(pt) for pt in points]}
 
 
 def check_ball_size(n, token):

@@ -459,8 +459,7 @@ def search_homomorphisms(n, token, budget=DEFAULT_BUDGET):
     is deterministic, so exhausted counts are reproducible.
     """
     s = token.power_value
-    if not distance_sets.is_achievable(token.p, n, s):
-        raise ValueError(f"s={s} is not an achievable distance power for (p={token.p}, n={n})")
+    distance_sets.check_achievable(token.p, n, s)
     ball = enumerate_ball(n, token)
     m = ball.cardinality
     slices = _slices(difference_set(ball).reach, n)

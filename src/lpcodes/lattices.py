@@ -41,8 +41,9 @@ def hermite_normal_form(rows, n):
     span a rank-n lattice.
     """
     work = [list(map(int, r)) for r in rows]
-    if any(len(r) != n for r in work):
-        raise ValueError("generator rows must have length n")
+    for r in work:
+        if len(r) != n:
+            raise ValueError(f"generator rows must have length {n}: {r}")
     pivots = [None] * n
     for col in range(n - 1, -1, -1):
         live = [r for r in work if r[col]]
@@ -350,10 +351,7 @@ def verify_perfect(lat, p, token):
     """Certify whether lattice translates of B_p^n(r) tile Z^n."""
     if token.p != p:
         raise ValueError("token exponent does not match p")
-    if not distance_sets.is_achievable(p, lat.n, token.power_value):
-        raise ValueError(
-            f"s={token.power_value} is not an achievable distance power for (p={p}, n={lat.n})"
-        )
+    distance_sets.check_achievable(p, lat.n, token.power_value)
     mu = ball_cardinality(lat.n, token)
     if lat.determinant != mu:
         return PerfectCertificate("NOT_PERFECT", "cardinality", None, lat, token)

@@ -184,8 +184,8 @@ def code_is_perfect(code, p, token):
     Z_q^n, where the ball is all of it.
     """
     q, n, s = code.q, code.n, token.power_value
-    if s <= norm_power((q // 2,) * n, p) and not distance_sets.is_achievable(p, n, s, q):
-        raise ValueError(f"s={s} is not an achievable p-Lee power for (p={p}, n={n}, q={q})")
+    if s <= norm_power((q // 2,) * n, p):
+        distance_sets.check_achievable(p, n, s, q)
     covered = _translates(code, code.codewords(), zq_ball(q, n, token))
     return covered is not None and len(covered) == q**n
 
@@ -241,17 +241,6 @@ class LinftyVerdict(namedtuple("LinftyVerdict", "q n exists b m radius code")):
     """
 
     __slots__ = ()
-
-    def to_json(self):
-        return {
-            "q": self.q,
-            "n": self.n,
-            "exists": self.exists,
-            "b": self.b,
-            "m": self.m,
-            "radius": self.radius,
-            "code": self.code.to_json() if self.code else None,
-        }
 
 
 def linfty_existence(q, n):

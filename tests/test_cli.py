@@ -588,6 +588,56 @@ def test_render_rejects_garbage(tmp_path):
     assert proc.returncode == 1
 
 
+FOUND_LINE_WITHOUT_KERNEL = (
+    '{"manifest":{}}\n'
+    '{"n":2,"p":2,"s":1,"status":"found"}\n'
+)
+
+
+@pytest.mark.parametrize("argv, text, names", [
+    (["bounds", "--density-file"], '[{"n": 2, "p": 2}]', "density record 0 has no 'density'"),
+    (["bounds", "--density-file"], '{"n": 2}', "a density table is a JSON list of records"),
+    (["bounds", "--density-file"], '[{"n": 2, "p": 2, "density": "pi/"}]', "density record 0: 'pi/' is not a number"),
+    (["bounds", "--density-file"], '[{"n": 2, "p": 2, "density": "pi/4"}, 7]',
+     "density record 1 is not a JSON object"),
+    (["bounds", "--table1", "--density-file"], '[{"n": 2.5, "p": 2, "density": "pi/4"}]',
+     "density record 0: 'n' must be an integer, got 2.5"),
+    (["render", "--input"], "5", "the input is not a JSON object"),
+    (["render", "--input"], '{"status": "found", "n": 2, "p": 2}', "the input record has no 's'"),
+    (["render", "--input"], FOUND_LINE_WITHOUT_KERNEL, "the input record has no 'kernel'"),
+])
+def test_malformed_input_file_is_one_error_line(tmp_path, argv, text, names):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    proc = run(*argv, str(path))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines()[0].startswith(f"lpcodes: error: {names}")
+    assert "Traceback" not in proc.stderr
+
+
+def test_render_reads_every_spelling_of_the_sup_exponent(tmp_path, capsys):
+    art = tmp_path / "tile.json"
+    assert cli.main(["tile-region", "--n", "2", "--p", "inf", "--r", "1", "--extent", "4",
+                     "--out", str(art)]) == 0
+    drawn = []
+    for spelling in ("inf", "infinity", "oo"):
+        obj = json.loads(art.read_text())
+        obj["p"] = spelling
+        art.write_text(json.dumps(obj))
+        assert cli.main(["render", "--input", str(art)]) == 0
+        drawn.append(capsys.readouterr().out)
+    assert drawn[0].startswith("<svg") and drawn.count(drawn[0]) == 3
+
+
+def test_a_library_bug_is_not_reported_as_a_refusal(monkeypatch):
+    def broken(args):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_ball", broken)
+    with pytest.raises(KeyError):
+        cli.main(["ball", "--n", "2", "--p", "2", "--s", "1"])
+
+
 # ------------------------------------------------------------- encoding
 
 @pytest.mark.parametrize("argv", [
@@ -675,6 +725,12 @@ def loaded_modules(*argv, package="lpcodes"):
 
 def test_importing_the_package_loads_no_submodule():
     assert loaded_modules("-c", "import lpcodes") == {"lpcodes"}
+
+
+def test_importing_the_cli_loads_only_what_every_subcommand_needs():
+    # the benchmark harness imports lpcodes.cli in its own process
+    assert loaded_modules("-c", "import lpcodes.cli") == {
+        "lpcodes", "lpcodes.cli", "lpcodes.geometry", "lpcodes.intmath"}
 
 
 def test_importing_every_module_loads_no_dataclasses():

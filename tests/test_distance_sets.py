@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lpcodes import distance_sets
 from lpcodes.distance_sets import (
+    check_achievable,
     enumerate_achievable,
     is_achievable,
     is_sum_of_three_squares,
@@ -313,3 +314,16 @@ def test_waring_saturation():
     assert not conj
     for n in (g, g + 1):
         assert all(is_achievable(2, n, s) for s in range(300))
+
+
+def test_check_achievable_refuses_in_one_wording():
+    assert check_achievable(2, 2, 5) is None
+    assert check_achievable(2, 2, 8, q=5) is None
+    with pytest.raises(ValueError, match=r"^s=3 is not an achievable distance power for \(p=2, n=2\)$"):
+        check_achievable(2, 2, 3)
+    with pytest.raises(ValueError,
+                       match=r"^s=3 is not an achievable p-Lee power for \(p=2, n=2, q=5\)$"):
+        check_achievable(2, 2, 3, q=5)
+    with pytest.raises(ValueError,
+                       match=r"^s=3 is not an achievable p-Lee power for \(p=inf, n=2, q=5\)$"):
+        check_achievable(INF, 2, 3, q=5)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import time
 
 import pytest
@@ -60,6 +61,28 @@ def test_norm_power():
 def test_token_json_exponent():
     assert RadiusToken(2, 4).json_p() == 2
     assert RadiusToken(INF, 1).json_p() == "inf"
+
+
+@pytest.mark.parametrize("value, p", [
+    (2, 2), ("2", 2), ("17", 17), ("inf", INF), ("INF", INF), ("infty", INF),
+    ("Infinity", INF), ("oo", INF),
+])
+def test_read_exponent_reads_what_outside_input_spells(value, p):
+    assert geometry.read_exponent(value) == p
+    assert geometry.read_exponent(geometry.exponent_json(p)) == p
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0", "exponent must be >= 1"), (-3, "exponent must be >= 1"),
+    ("x", "exponent must be a positive integer or 'inf': 'x'"),
+    ("2.5", "exponent must be a positive integer or 'inf': '2.5'"),
+    (2.0, "exponent must be a positive integer or 'inf': 2.0"),
+    (True, "exponent must be a positive integer or 'inf': True"),
+    (None, "exponent must be a positive integer or 'inf': None"),
+])
+def test_read_exponent_refuses_anything_else(value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        geometry.read_exponent(value)
 
 
 def test_token_rejects_negative_power():
