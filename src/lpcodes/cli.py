@@ -220,10 +220,11 @@ def cmd_render(args):
     if not isinstance(obj, dict):
         raise ValueError("the input is not a JSON object")
     if "points" in obj:  # a ball or B - B
-        return svg.render_placements(obj["points"], [(0, 0)])
+        return svg.render_placements(_rows_field(obj, "points"), [(0, 0)])
     if "status" in obj:  # a region run: its tiling, else the tile alone
-        foot = enumerate_ball(_field(obj, "n"), _token_from(obj)).points
-        return svg.render_placements(foot, _field(obj, "centers") or [(0, 0)])
+        foot = enumerate_ball(_int_field(obj, "n"), _token_from(obj)).points
+        centers = _field(obj, "centers") and _rows_field(obj, "centers")
+        return svg.render_placements(foot, centers or [(0, 0)])
     raise ValueError("input JSON is not a renderable artifact")
 
 
@@ -238,7 +239,7 @@ def _render_search_lines(text):
             raise ValueError(f"line {number} of the input is not a JSON object")
         if rec.get("status") == "found" and rec.get("n") == 2:
             foot = enumerate_ball(2, _token_from(rec)).points
-            return svg.render_lattice_tiling(foot, _field(_field(rec, "kernel"), "basis"))
+            return svg.render_lattice_tiling(foot, _rows_field(_field(rec, "kernel"), "basis"))
     raise ValueError("no renderable found-outcome in search report")
 
 
@@ -247,6 +248,23 @@ def _field(record, key):
     if not isinstance(record, dict) or key not in record:
         raise ValueError(f"the input record has no {key!r}")
     return record[key]
+
+
+def _int_field(record, key):
+    """record[key] if it is an int, else ValueError naming the key."""
+    value = _field(record, key)
+    if type(value) is not int:
+        raise ValueError(f"the input record's {key!r} is not an integer: {value!r}")
+    return value
+
+
+def _rows_field(record, key):
+    """record[key] if it is a list of int lists, else ValueError naming the key."""
+    rows = _field(record, key)
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(c) is int for c in row) for row in rows):
+        raise ValueError(f"the input record's {key!r} is not a list of integer rows")
+    return rows
 
 
 def _token_from(record):

@@ -235,7 +235,7 @@ def _points_json(n, token, points):
 
 
 def check_ball_size(n, token):
-    """Raise ValueError when B_p^n(r) has more than MAX_BALL_POINTS points.
+    """|B_p^n(r)|, or ValueError when it is more than MAX_BALL_POINTS points.
 
     Lists no point.  For finite p the ball holds the cube of half-side
     t = floor((s // n)^(1/p)), so a cube over the guard refuses at once
@@ -249,6 +249,7 @@ def check_ball_size(n, token):
             f"{'at least ' if size == cube else ''}{size} points, "
             f"more than MAX_BALL_POINTS = {MAX_BALL_POINTS}"
         )
+    return size
 
 
 def check_difference_set_size(n, token):

@@ -7,19 +7,22 @@ minimum distance, packing radius and the perfect-code certificate all
 reduce to integer comparisons via RadiusToken power values.
 """
 
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import repeat
 from operator import add, mul
 
 from . import distance_sets
 from .geometry import (
+    INF,
     RadiusToken,
-    ball_cardinality,
     balls_overlap,
+    check_ball_size,
     check_exponent,
     compare_root_sums,
     norm_power,
 )
+from .intmath import iroot
 
 __all__ = [
     "IntegerLattice",
@@ -105,33 +108,39 @@ class IntegerLattice(namedtuple("IntegerLattice", "n basis determinant")):
                     v[j] -= c * self.basis[i][j]
         return True
 
-    def enumerate_in_box(self, box_radius):
-        """All lattice points with sup norm <= box_radius, sorted.
+    def points_within(self, token):
+        """All lattice points v with norm_power(v, token.p) <= token's power, sorted.
 
         Fixes the coefficient of one basis row per level, the last row
         first, so the depth is not bounded by Python's recursion limit.
         Row i is the last to touch coordinate i, so once its coefficient
-        is chosen that coordinate is final and must lie in the box.
+        is chosen that coordinate is final, and its power must fit in what
+        the later coordinates left (Fincke-Pohst pruning).  Every cost is
+        0 for p = inf, where the ball is the sup-norm box.
         """
-        if box_radius < 0:
-            raise ValueError("box radius must be nonnegative")
-        # (coordinates 0..i, still moved by rows up to i; final coordinates)
-        level = [((0,) * self.n, ())]
+        p, s = token
+        top = token.floor_radius()
+        cost = [0] * (top + 1) if p == INF else [y**p for y in range(top + 1)]
+        # (coordinates 0..i, still moved by rows up to i; final coordinates; power left)
+        level = [((0,) * self.n, (), s)]
         for i in range(self.n - 1, 0, -1):
             row = self.basis[i]
             d = row[i]
             grown = []
-            for head, tail in level:
+            for head, tail, left in level:
                 x, rest = head[i], head[:i]
-                for c in range(-((box_radius + x) // d), (box_radius - x) // d + 1):
+                # the largest |y| that left allows
+                b = top if left == s else bisect_right(cost, left) - 1
+                for c in range(-((b + x) // d), (b - x) // d + 1):
+                    y = x + c * d
                     moved = tuple(map(add, rest, map(mul, row, repeat(c)))) if c else rest
-                    grown.append((moved, (x + c * d,) + tail))
+                    grown.append((moved, (y,) + tail, left - cost[abs(y)]))
             level = grown
         d = self.basis[0][0]
         out = []
-        for (x,), tail in level:
-            lo, hi = -((box_radius + x) // d), (box_radius - x) // d
-            out += [(x + c * d,) + tail for c in range(lo, hi + 1)]
+        for (x,), tail, left in level:
+            b = top if left == s else bisect_right(cost, left) - 1
+            out += [(x + c * d,) + tail for c in range(-((b + x) // d), (b - x) // d + 1)]
         out.sort()
         return out
 
@@ -239,39 +248,26 @@ def quotient_map(rows):
 def minimum_distance(lat, p):
     """Shortest nonzero vector length of the lattice, as a RadiusToken.
 
-    Box enumeration with a growing sup-norm window; the window never
-    needs to exceed the sup norm bound implied by the shortest basis
-    row, so the scan is exact and finite.
+    Lists the lattice points within a doubling integer radius.  The first
+    ball that holds a nonzero point holds every shorter one too, so its
+    least power is exact.
     """
     p = check_exponent(p)
-    hard = RadiusToken(p, min(norm_power(r, p) for r in lat.basis)).floor_radius()
-
-    def best_in_box(radius):
-        best = None
-        for v in lat.enumerate_in_box(radius):
-            if any(v):
-                pw = norm_power(v, p)
-                if best is None or pw < best:
-                    best = pw
-        return best
-
     radius = 1
     while True:
-        radius = min(radius, hard)
-        best = best_in_box(radius)
-        if best is not None:
-            refine = min(RadiusToken(p, best).floor_radius(), hard)
-            if refine > radius:
-                best = best_in_box(refine)
-            return RadiusToken(p, best)
-        if radius == hard:
-            raise AssertionError("shortest basis row not found in its own box")
+        ball = lat.points_within(RadiusToken.from_radius(p, radius))
+        powers = [norm_power(v, p) for v in ball if any(v)]
+        if powers:
+            return RadiusToken(p, min(powers))
         radius *= 2
 
 
 def _overlap_witness(lat, token):
-    """The first nonzero lattice vector in B(r) - B(r) in box order, or None."""
-    for v in lat.enumerate_in_box(2 * token.floor_radius()):
+    """The least nonzero lattice vector of B(r) - B(r), or None.
+
+    B(r) - B(r) lies in B(2r), whose points come sorted.
+    """
+    for v in lat.points_within(token.doubled()):
         if any(v) and balls_overlap(v, lat.n, token):
             return v
     return None
@@ -348,12 +344,21 @@ class PerfectCertificate(namedtuple(
 
 
 def verify_perfect(lat, p, token):
-    """Certify whether lattice translates of B_p^n(r) tile Z^n."""
+    """Certify whether lattice translates of B_p^n(r) tile Z^n.
+
+    The ball holds the cube of half-side t = floor((s/n)^(1/p)) and lies
+    in the cube of half-side floor(r), so a determinant outside
+    (2t + 1)^n <= |B| <= (2 floor(r) + 1)^n fails on cardinality with no
+    count.  Otherwise the ball is counted, and one of more than
+    MAX_BALL_POINTS points is refused with check_ball_size's ValueError.
+    """
     if token.p != p:
         raise ValueError("token exponent does not match p")
-    distance_sets.check_achievable(p, lat.n, token.power_value)
-    mu = ball_cardinality(lat.n, token)
-    if lat.determinant != mu:
+    n, s, det = lat.n, token.power_value, lat.determinant
+    distance_sets.check_achievable(p, n, s)
+    inner = s if p == INF else iroot(s // n, p)
+    if (not (2 * inner + 1) ** n <= det <= (2 * token.floor_radius() + 1) ** n
+            or det != check_ball_size(n, token)):
         return PerfectCertificate("NOT_PERFECT", "cardinality", None, lat, token)
     v = _overlap_witness(lat, token)
     if v is not None:

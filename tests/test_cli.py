@@ -339,6 +339,46 @@ def test_verify_large_lee_radius_needs_no_distance_table():
     assert json.loads(proc.stdout)["failed_condition"] == "cardinality"
 
 
+@pytest.mark.parametrize("basis, s", [
+    ("1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1", 10**12),
+    ("1,0,0;0,1,0;0,0,1", 10**8),
+])
+def test_verify_fails_cardinality_without_counting_a_huge_ball(basis, s):
+    # the determinant lies below the cube inside the ball, so nothing is counted
+    proc = run("verify", "--basis", basis, "--p", "2", "--s", str(s), timeout=30)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["failed_condition"] == "cardinality"
+
+
+# the index-221 lattice in Z^10 whose index is the Lee ball of radius 2
+Z10 = ";".join([
+    "221,0,0,0,0,0,0,0,0,0",
+    "3,1,0,0,0,0,0,0,0,0",
+    "9,0,1,0,0,0,0,0,0,0",
+    "27,0,0,1,0,0,0,0,0,0",
+    "81,0,0,0,1,0,0,0,0,0",
+    "22,0,0,0,0,1,0,0,0,0",
+    "66,0,0,0,0,0,1,0,0,0",
+    "198,0,0,0,0,0,0,1,0,0",
+    "152,0,0,0,0,0,0,0,1,0",
+    "14,0,0,0,0,0,0,0,0,1",
+])
+
+
+def test_verify_lists_an_overlap_in_dimension_10():
+    proc = run("verify", "--basis", Z10, "--p", "1", "--s", "2", timeout=30)
+    assert proc.returncode == 0
+    obj = json.loads(proc.stdout)
+    assert obj["status"] == "NOT_PERFECT" and obj["failed_condition"] == "overlap"
+
+
+def test_search_certifies_the_lee_radius_1_code_in_dimension_12():
+    proc = run("search", "--n", "12", "--p", "1", "--s-max", "1", timeout=30)
+    assert proc.returncode == 0
+    (outcome,) = map(json.loads, proc.stdout.splitlines()[1:])
+    assert outcome["status"] == "found" and outcome["certificate"]["status"] == "PERFECT"
+
+
 # ----------------------------------------------------------------- code
 
 def test_code_subcommand():
@@ -605,6 +645,11 @@ FOUND_LINE_WITHOUT_KERNEL = (
     (["render", "--input"], "5", "the input is not a JSON object"),
     (["render", "--input"], '{"status": "found", "n": 2, "p": 2}', "the input record has no 's'"),
     (["render", "--input"], FOUND_LINE_WITHOUT_KERNEL, "the input record has no 'kernel'"),
+    (["render", "--input"], '{"status": "completed", "n": "2", "p": 2, "s": 1, "centers": [[0, 0]]}',
+     "the input record's 'n' is not an integer"),
+    (["render", "--input"], '{"points": 5}', "the input record's 'points' is not a list of integer rows"),
+    (["render", "--input"], '{"status": "completed", "n": 2, "p": 2, "s": 1, "centers": 7}',
+     "the input record's 'centers' is not a list of integer rows"),
 ])
 def test_malformed_input_file_is_one_error_line(tmp_path, argv, text, names):
     path = tmp_path / "input.json"

@@ -6,7 +6,14 @@ import random
 import pytest
 
 from lpcodes.distance_sets import enumerate_achievable
-from lpcodes.geometry import INF, RadiusToken, ball_cardinality, difference_set, enumerate_ball
+from lpcodes.geometry import (
+    INF,
+    RadiusToken,
+    ball_cardinality,
+    difference_set,
+    enumerate_ball,
+    norm_power,
+)
 from lpcodes.lattices import (
     IntegerLattice,
     _smith,
@@ -167,16 +174,16 @@ def test_smith_form_direct():
     assert quotient_map(((2, 1), (1, 2)))[0] == (3,)
 
 
-# ------------------------------------------------------- box enumeration
+# ---------------------------------------------- points within a radius
 
 def test_enumerate_in_box_scaled_lattice():
-    pts = canonicalize([(3, 0), (0, 3)]).enumerate_in_box(3)
+    pts = canonicalize([(3, 0), (0, 3)]).points_within(RadiusToken(INF, 3))
     assert len(pts) == 9
     assert set(pts) == {(3 * a, 3 * b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
 
 
 def test_enumerate_in_box_congruence_filter():
-    pts = set(canonicalize(KERNEL_S1).enumerate_in_box(2))
+    pts = set(canonicalize(KERNEL_S1).points_within(RadiusToken(INF, 2)))
     want = {
         v
         for v in itertools.product(range(-2, 3), repeat=2)
@@ -187,11 +194,11 @@ def test_enumerate_in_box_congruence_filter():
 
 def test_enumerate_in_box_zero_radius():
     for rows in (KERNEL_S1, KERNEL_3D_S1):
-        assert canonicalize(rows).enumerate_in_box(0) == [(0,) * len(rows[0])]
+        assert canonicalize(rows).points_within(RadiusToken(INF, 0)) == [(0,) * len(rows[0])]
 
 
 def reference_enumerate_in_box(lat, box_radius):
-    """The recursive enumeration enumerate_in_box replaced: one call per row."""
+    """The lattice points of the sup-norm box, sorted: one recursive call per row."""
     n, basis = lat.n, lat.basis
     out, partial = [], [0] * n
 
@@ -216,9 +223,21 @@ def test_enumerate_in_box_matches_the_recursive_enumeration():
     for _ in range(60):
         lat = random_full_rank(rng, rng.randint(1, 4), bound=5)
         box_radius = rng.randint(0, 8)
-        got = lat.enumerate_in_box(box_radius)
+        got = lat.points_within(RadiusToken(INF, box_radius))
         assert got == reference_enumerate_in_box(lat, box_radius), (lat.basis, box_radius)
         assert len(got) == len(set(got)) and all(lat.contains(v) for v in got)
+
+
+def test_points_within_matches_a_norm_filter_of_the_box():
+    rng = random.Random(13)
+    lattices = [canonicalize(rows) for rows in (KERNEL_S1, KERNEL_S8, KERNEL_3D_S1, KERNEL_3D_S3)]
+    lattices += [random_full_rank(rng, rng.randint(1, 4), bound=5) for _ in range(40)]
+    for lat in lattices:
+        for p in (1, 2, 3):
+            token = RadiusToken(p, rng.randint(0, 30))
+            box = reference_enumerate_in_box(lat, token.floor_radius())
+            want = [v for v in box if norm_power(v, p) <= token.power_value]
+            assert lat.points_within(token) == want, (lat.basis, token)
 
 
 def test_enumerate_in_box_in_dimension_1200():
@@ -226,7 +245,7 @@ def test_enumerate_in_box_in_dimension_1200():
     # used to mean one recursive call per coordinate, past the recursion limit
     n = 1200
     lat = IntegerLattice(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
-    assert lat.enumerate_in_box(0) == [(0,) * n]
+    assert lat.points_within(RadiusToken(INF, 0)) == [(0,) * n]
 
 
 # ----------------------------------------------------- minimum distances
@@ -262,7 +281,7 @@ def test_minimum_distance_matches_brute_force():
             got = minimum_distance(lat, p)
             span = 20
             best = None
-            for v in lat.enumerate_in_box(span):
+            for v in lat.points_within(RadiusToken(INF, span)):
                 if not any(v):
                     continue
                 w = max(abs(c) for c in v) if p == INF else sum(abs(c) ** p for c in v)
@@ -389,7 +408,7 @@ def test_perfect_certificates_tile_sample_boxes():
         rr = token.power_value if p == INF else int(token.power_value ** (1.0 / p)) + 1
         ball = set(enumerate_ball(n, token).points)
         counts = {}
-        for c in lat.enumerate_in_box(4 * rr):
+        for c in lat.points_within(RadiusToken(INF, 4 * rr)):
             for b in ball:
                 pt = tuple(ci + bi for ci, bi in zip(c, b))
                 counts[pt] = counts.get(pt, 0) + 1
