@@ -7,7 +7,7 @@ lands in the difference set B - B.  The verifier re-derives both facts.
 
 from lpcodes.geometry import INF, RadiusToken
 from lpcodes.lattices import (
-    canonicalize,
+    IntegerLattice,
     minimum_distance,
     packing_radius,
     radius_bracket,
@@ -24,20 +24,20 @@ KNOWN = [
 ]
 
 for n, s, rows in KNOWN:
-    lat = canonicalize(rows)
+    lat = IntegerLattice.from_rows(rows)
     cert = verify_perfect(lat, 2, RadiusToken(2, s))
     print(f"n={n} s={s:>2}  det={lat.determinant:>2}  basis={rows}  -> {cert.status}")
 
 print()
 print("A near miss: det matches mu but balls collide.")
-bad = canonicalize([(1, 1), (0, 5)])
+bad = IntegerLattice.from_rows([(1, 1), (0, 5)])
 cert = verify_perfect(bad, 2, RadiusToken(2, 1))
 print(f"  {bad.basis} at s=1 -> {cert.status} ({cert.failed_condition},"
       f" witness {cert.witness_vector})")
 
 print()
 print("Minimum distance vs packing radius, bracket check on Z(3,0)+Z(0,3):")
-lat = canonicalize([(3, 0), (0, 3)])
+lat = IntegerLattice.from_rows([(3, 0), (0, 3)])
 for p in (1, 2, INF):
     d = minimum_distance(lat, p)
     r = packing_radius(lat, p)

@@ -16,7 +16,7 @@ for n, p, s_max in ((2, 2, 8), (3, 2, 3)):
     for o in report.outcomes:
         if o.status == "found":
             phi = o.homomorphism
-            print(f"  s={o.token.power_value:>2}  {phi.group.label():<6}"
+            print(f"  s={o.token.power_value:>2}  {phi.label():<6}"
                   f" e_i -> {list(phi.images)}   kernel {list(o.kernel.basis)}")
         elif o.status == "exhausted":
             print(f"  s={o.token.power_value:>2}  exhausted after"

@@ -220,7 +220,10 @@ def cmd_render(args):
     if not isinstance(obj, dict):
         raise ValueError("the input is not a JSON object")
     if "points" in obj:  # a ball or B - B
-        return svg.render_placements(_rows_field(obj, "points"), [(0, 0)])
+        points = _rows_field(obj, "points")
+        if not points:
+            raise ValueError("the input record's 'points' is empty")
+        return svg.render_placements(points, [(0, 0)])
     if "status" in obj:  # a region run: its tiling, else the tile alone
         foot = enumerate_ball(_int_field(obj, "n"), _token_from(obj)).points
         centers = _field(obj, "centers") and _rows_field(obj, "centers")

@@ -92,8 +92,8 @@ class RadiusToken(namedtuple("RadiusToken", "p power_value")):
 
     Tokens with equal p are totally ordered by their power value.
 
-    >>> RadiusToken(2, 8).radius
-    2.8284271247461903
+    >>> RadiusToken(2, 8).floor_radius()
+    2
     >>> RadiusToken.from_radius(3, 2).power_value
     8
     """
@@ -112,13 +112,6 @@ class RadiusToken(namedtuple("RadiusToken", "p power_value")):
         if not isinstance(r, int) or r < 0:
             raise ValueError("from_radius expects a nonnegative integer radius")
         return cls(p, r if p == INF else r**p)
-
-    @property
-    def radius(self):
-        """Float view of the radius (for display only, never membership)."""
-        if self.p == INF:
-            return float(self.power_value)
-        return self.power_value ** (1.0 / self.p)
 
     def floor_radius(self):
         """The integer part of the radius, exactly."""

@@ -42,9 +42,9 @@ first kernel in walk order is never skipped, so only candidates_examined
 changes; Z^2 has no such node.
 
 The first complete basis is the kernel, and the homomorphism is read off
-it (kernel_homomorphism).  candidates_examined counts the diagonals and
-residues examined, the rejected residues in bulk, and the budget bounds
-that count: a search that runs out records budget + 1.
+it by lattices.quotient_map.  candidates_examined counts the diagonals
+and residues examined, the rejected residues in bulk, and the budget
+bounds that count: a search that runs out records budget + 1.
 """
 
 import contextlib
@@ -63,11 +63,9 @@ from .intmath import divisors
 from .lattices import IntegerLattice
 
 __all__ = [
-    "AbelianGroupSpec",
     "GroupHomomorphism",
     "TokenOutcome",
     "ClassificationReport",
-    "kernel_homomorphism",
     "search_homomorphisms",
     "classify",
 ]
@@ -75,54 +73,37 @@ __all__ = [
 DEFAULT_BUDGET = 10**7
 
 
-class AbelianGroupSpec(namedtuple("AbelianGroupSpec", "order factors")):
-    """Abelian group as an invariant-factor chain d_1 | d_2 | ... (each > 1).
+class GroupHomomorphism(namedtuple("GroupHomomorphism", "factors images")):
+    """phi: Z^n -> G determined by the images of the standard basis.
 
-    Elements are residue tuples.  The trivial group has an empty chain.
+    G is the Abelian group Z_d1 x Z_d2 x ... with factors the invariant
+    chain d_1 | d_2 | ... (each > 1; the trivial group has an empty
+    chain), and each image is a residue tuple, one component per factor.
     """
 
     __slots__ = ()
 
-    def __new__(cls, order, factors):
-        prod = 1
+    def __new__(cls, factors, images):
         for a, b in itertools.pairwise(factors):
             if b % a:
                 raise ValueError(f"not a divisibility chain: {factors}")
-        for d in factors:
-            if d < 2:
-                raise ValueError("invariant factors must exceed 1")
-            prod *= d
-        if prod != order:
-            raise ValueError(f"factors {factors} do not multiply to {order}")
-        return super().__new__(cls, order, factors)
+        if any(d < 2 for d in factors):
+            raise ValueError("invariant factors must exceed 1")
+        if any(len(g) != len(factors) for g in images):
+            raise ValueError("image has wrong number of components")
+        return super().__new__(cls, factors, images)
+
+    @property
+    def order(self):
+        return prod(self.factors)
 
     def label(self):
         return " x ".join(f"Z_{d}" for d in reversed(self.factors)) or "Z_1"
 
-
-class GroupHomomorphism(namedtuple("GroupHomomorphism", "group images")):
-    """phi: Z^n -> G determined by the images of the standard basis.
-
-    group is G as an AbelianGroupSpec.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, group, images):
-        k = len(group.factors)
-        for g in images:
-            if len(g) != k:
-                raise ValueError("image has wrong number of components")
-        return super().__new__(cls, group, images)
-
-    @property
-    def n(self):
-        return len(self.images)
-
     def to_json(self):
         return {
-            "group_order": self.group.order,
-            "group_factors": list(self.group.factors),
+            "group_order": self.order,
+            "group_factors": list(self.factors),
             "images": [list(g) for g in self.images],
         }
 
@@ -405,14 +386,6 @@ def _find_kernel(n, m, slices, budget, counter):
     return IntegerLattice.from_rows([row + (0,) * (n - len(row)) for row in rows], n)
 
 
-def kernel_homomorphism(kernel):
-    """A homomorphism phi: Z^n -> Z^n / kernel with ker(phi) = kernel
-    (lattices.quotient_map: Z_m with e_0 -> 1 and e_j -> -h_j0 for a
-    Hermite diagonal (m, 1, ..., 1), the Smith form otherwise)."""
-    factors, images = lattices.quotient_map(kernel.basis)
-    return GroupHomomorphism(AbelianGroupSpec(kernel.determinant, factors), images)
-
-
 class _BudgetExceeded(Exception):
     pass
 
@@ -432,7 +405,7 @@ class TokenOutcome(namedtuple(
     @property
     def groups_tried(self):
         """The found quotient's invariant factors, as a one-entry tuple; () otherwise."""
-        return (self.homomorphism.group.factors,) if self.homomorphism else ()
+        return (self.homomorphism.factors,) if self.homomorphism else ()
 
     def to_json(self):
         return {
@@ -473,7 +446,8 @@ def search_homomorphisms(n, token, budget=DEFAULT_BUDGET):
     cert = lattices.verify_perfect(kernel, token.p, token)
     if not cert.is_perfect:
         raise AssertionError(f"kernel at s={s} failed re-verification")
-    return TokenOutcome(n, token, "found", m, kernel_homomorphism(kernel), kernel, counter[0], cert)
+    phi = GroupHomomorphism(*lattices.quotient_map(kernel.basis))
+    return TokenOutcome(n, token, "found", m, phi, kernel, counter[0], cert)
 
 
 class ClassificationReport(namedtuple("ClassificationReport", "outcomes")):

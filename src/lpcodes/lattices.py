@@ -27,7 +27,6 @@ from .intmath import iroot
 __all__ = [
     "IntegerLattice",
     "PerfectCertificate",
-    "canonicalize",
     "hermite_normal_form",
     "quotient_map",
     "minimum_distance",
@@ -83,6 +82,7 @@ class IntegerLattice(namedtuple("IntegerLattice", "n basis determinant")):
 
     @classmethod
     def from_rows(cls, rows, n=None):
+        """The lattice spanned by an arbitrary generating set, in Hermite form."""
         rows = [tuple(r) for r in rows]
         if n is None:
             if not rows:
@@ -150,11 +150,6 @@ class IntegerLattice(namedtuple("IntegerLattice", "n basis determinant")):
     @classmethod
     def from_json(cls, obj):
         return cls.from_rows(obj["basis"], obj["n"])
-
-
-def canonicalize(rows, n=None):
-    """IntegerLattice from an arbitrary generating set."""
-    return IntegerLattice.from_rows(rows, n)
 
 
 def _smith(rows):

@@ -3,75 +3,76 @@
 The search finds tiling kernels directly; these helpers go the other way,
 from groups and homomorphisms to kernels, so the tests can compare the
 two independently.  all_linear_codes lists the subgroups of Z_q^n that
-the sup-metric existence criterion is checked against.
+the sup-metric existence criterion is checked against.  A group is its
+invariant-factor chain d_1 | d_2 | ..., a tuple of ints, and its elements
+are residue tuples.
 """
 
 import itertools
 from functools import reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from lpcodes.geometry import difference_set
-from lpcodes.homsearch import AbelianGroupSpec, GroupHomomorphism
+from lpcodes.homsearch import GroupHomomorphism
 from lpcodes.intmath import factorize
 from lpcodes.lattices import IntegerLattice
 from lpcodes.zqcodes import LinearCodeZq, construction_a
 
 
-def encode(group, x):
+def encode(factors, x):
     """The mixed-radix index of element x (first factor least significant)."""
     idx = 0
-    for c, d in zip(reversed(x), reversed(group.factors)):
+    for c, d in zip(reversed(x), reversed(factors)):
         idx = idx * d + c
     return idx
 
 
-def decode(group, idx):
+def decode(factors, idx):
     """The element with mixed-radix index idx."""
     x = []
-    for d in group.factors:
+    for d in factors:
         idx, c = divmod(idx, d)
         x.append(c)
     return tuple(x)
 
 
-def identity(group):
-    return (0,) * len(group.factors)
+def identity(factors):
+    return (0,) * len(factors)
 
 
-def add(group, x, y):
-    return tuple((a + b) % d for a, b, d in zip(x, y, group.factors))
+def add(factors, x, y):
+    return tuple((a + b) % d for a, b, d in zip(x, y, factors))
 
 
-def neg(group, x):
-    return tuple((-c) % d for c, d in zip(x, group.factors))
+def neg(factors, x):
+    return tuple((-c) % d for c, d in zip(x, factors))
 
 
-def scale(group, k, x):
-    return tuple((k * c) % d for c, d in zip(x, group.factors))
+def scale(factors, k, x):
+    return tuple((k * c) % d for c, d in zip(x, factors))
 
 
 def apply(phi, x):
     """phi(x) = sum of x_i phi(e_i) in phi's group."""
-    if len(x) != phi.n:
+    if len(x) != len(phi.images):
         raise ValueError("dimension mismatch")
-    acc = identity(phi.group)
+    acc = identity(phi.factors)
     for xi, g in zip(x, phi.images):
-        acc = add(phi.group, acc, scale(phi.group, xi, g))
+        acc = add(phi.factors, acc, scale(phi.factors, xi, g))
     return acc
 
 
 def homomorphism_from_json(obj):
     """The GroupHomomorphism that GroupHomomorphism.to_json wrote."""
-    spec = AbelianGroupSpec(obj["group_order"], tuple(obj["group_factors"]))
-    return GroupHomomorphism(spec, tuple(tuple(g) for g in obj["images"]))
+    return GroupHomomorphism(tuple(obj["group_factors"]), tuple(tuple(g) for g in obj["images"]))
 
 
-def element_order(group, x):
-    return reduce(lcm, (d // gcd(c, d) for c, d in zip(x, group.factors)), 1)
+def element_order(factors, x):
+    return reduce(lcm, (d // gcd(c, d) for c, d in zip(x, factors)), 1)
 
 
-def elements(group):
-    return (decode(group, i) for i in range(group.order))
+def elements(factors):
+    return (decode(factors, i) for i in range(prod(factors)))
 
 
 def _partitions(k):
@@ -86,7 +87,7 @@ def _partitions(k):
 
 
 def abelian_groups_of_order(m):
-    """All Abelian groups of order m up to isomorphism, cyclic first.
+    """The invariant-factor chains of all Abelian groups of order m, cyclic first.
 
     Built by choosing a partition of each prime exponent and merging the
     prime-power blocks columnwise into an invariant-factor chain.  The
@@ -108,8 +109,8 @@ def abelian_groups_of_order(m):
                     d *= p ** parts[row]
             chain.append(d)
         # chain is descending by construction; store ascending
-        groups.append(AbelianGroupSpec(m, tuple(reversed(chain))))
-    groups.sort(key=lambda g: tuple(sorted(g.factors, reverse=True)), reverse=True)
+        groups.append(tuple(reversed(chain)))
+    groups.sort(key=lambda factors: sorted(factors, reverse=True), reverse=True)
     return groups
 
 
@@ -120,9 +121,9 @@ def is_bijective_on(phi, ball):
     phi(v) != 0 for every nonzero difference v; unequal sizes are an
     immediate no.
     """
-    if phi.group.order != ball.cardinality:
+    if phi.order != ball.cardinality:
         return False
-    zero = identity(phi.group)
+    zero = identity(phi.factors)
     for v in difference_set(ball).points:
         if any(v) and apply(phi, v) == zero:
             return False
@@ -173,8 +174,7 @@ def kernel_lattice(phi):
     that phi(x) vanishes.  det equals |G| iff phi is surjective, so a
     smaller determinant is the caller's signal of a proper image.
     """
-    n = phi.n
-    factors = phi.group.factors
+    n, factors = len(phi.images), phi.factors
     k = len(factors)
     if k == 0:
         return IntegerLattice.from_rows([[int(i == j) for j in range(n)] for i in range(n)], n)

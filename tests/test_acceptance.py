@@ -34,7 +34,7 @@ from lpcodes.geometry import (
 )
 from lpcodes.homsearch import classify, search_homomorphisms
 from lpcodes.lattices import (
-    canonicalize,
+    IntegerLattice,
     minimum_distance,
     packing_radius,
     radius_bracket,
@@ -117,8 +117,8 @@ def test_criterion_02_dim2_classification():
     assert all(o["status"] == "exhausted" for o in outcomes if o["s"] not in found)
     for s, o in found.items():
         assert o["certificate"]["status"] == "PERFECT"
-        kernel = canonicalize(o["kernel"]["basis"])
-        assert kernel == canonicalize(DIM2_KERNELS[s])
+        kernel = IntegerLattice.from_rows(o["kernel"]["basis"])
+        assert kernel == IntegerLattice.from_rows(DIM2_KERNELS[s])
         assert verify_perfect(kernel, 2, RadiusToken(2, s)).is_perfect
     _stamp(2, "dim-2 classification s <= 294", t0, 1800)
 
@@ -129,7 +129,8 @@ def test_criterion_03_dim3_classification():
     assert report.found_tokens == (1, 3)
     for outcome in report.outcomes:
         if outcome.status == "found":
-            assert outcome.kernel == canonicalize(DIM3_KERNELS[outcome.token.power_value])
+            rows = DIM3_KERNELS[outcome.token.power_value]
+            assert outcome.kernel == IntegerLattice.from_rows(rows)
         else:
             assert outcome.status == "exhausted"
     _stamp(3, "dim-3 classification s <= 20", t0, 600)
@@ -184,7 +185,7 @@ def test_criterion_08_radius_bracket():
         n = rng.randint(1, 4)
         rows = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(n)]
         try:
-            lat = canonicalize(rows)
+            lat = IntegerLattice.from_rows(rows)
         except ValueError:
             continue
         p = exponents[done % 3]
@@ -197,8 +198,8 @@ def test_criterion_08_radius_bracket():
 def test_criterion_09_z4_codes_remark():
     t0 = time.time()
     eye4 = [tuple(4 if i == j else 0 for j in range(4)) for i in range(4)]
-    c1 = canonicalize([(2, 0, 0, 0)] + eye4, 4)
-    c2 = canonicalize([(1, 1, 1, 1)] + eye4, 4)
+    c1 = IntegerLattice.from_rows([(2, 0, 0, 0)] + eye4, 4)
+    c2 = IntegerLattice.from_rows([(1, 1, 1, 1)] + eye4, 4)
     assert minimum_distance(c1, 2) == minimum_distance(c2, 2) == RadiusToken(2, 4)
     assert packing_radius(c1, 2) == RadiusToken(2, 0)
     assert packing_radius(c2, 2) == RadiusToken(2, 1)
@@ -270,7 +271,8 @@ def test_criterion_14_dim3_classification_to_s32():
     assert report.found_tokens == (1, 3)
     for outcome in report.outcomes:
         if outcome.status == "found":
-            assert outcome.kernel == canonicalize(DIM3_KERNELS[outcome.token.power_value])
+            rows = DIM3_KERNELS[outcome.token.power_value]
+            assert outcome.kernel == IntegerLattice.from_rows(rows)
         else:
             assert outcome.status == "exhausted", outcome.token
     _stamp(14, "dim-3 classification s <= 32", t0, 300)
@@ -282,7 +284,8 @@ def test_criterion_15_dim3_classification_to_density_cutoff():
     assert report.found_tokens == (1, 3)
     for outcome in report.outcomes:
         if outcome.status == "found":
-            assert outcome.kernel == canonicalize(DIM3_KERNELS[outcome.token.power_value])
+            rows = DIM3_KERNELS[outcome.token.power_value]
+            assert outcome.kernel == IntegerLattice.from_rows(rows)
         else:
             assert outcome.status == "exhausted", outcome.token
     _stamp(15, "dim-3 classification s <= 91", t0, 600)

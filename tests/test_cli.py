@@ -222,6 +222,23 @@ def test_negative_budget_is_a_usage_error(argv):
     assert run(*argv, "--budget", "0").returncode == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--n", "2", "--p", "2", "--s-max", "4", "--jobs", "two"],
+     "argument --jobs: jobs must be an integer >= 1: 'two'"),
+    (["search", "--n", "2", "--p", "2", "--s-max", "4", "--budget", "1e3"],
+     "argument --budget: budget must be an integer >= 0: '1e3'"),
+    (["code", "--q", "5", "--n", "2", "--gen", "1,x", "--p", "1"],
+     "argument --gen: expected comma-separated integers: '1,x'"),
+    (["verify", "--basis", "1,x;0,5", "--p", "2", "--s", "1"],
+     "argument --basis: expected comma-separated integers: '1,x'"),
+])
+def test_malformed_option_value_is_a_usage_error(argv, message):
+    proc = run(*argv)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "usage:" in proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"lpcodes {argv[0]}: error: {message}"
+
+
 def test_ball_writes_file(tmp_path):
     out = tmp_path / "ball.json"
     proc = run("ball", "--n", "2", "--p", "2", "--s", "1", "--out", str(out))
@@ -650,6 +667,7 @@ FOUND_LINE_WITHOUT_KERNEL = (
     (["render", "--input"], '{"points": 5}', "the input record's 'points' is not a list of integer rows"),
     (["render", "--input"], '{"status": "completed", "n": 2, "p": 2, "s": 1, "centers": 7}',
      "the input record's 'centers' is not a list of integer rows"),
+    (["render", "--input"], '{"points": []}', "the input record's 'points' is empty"),
 ])
 def test_malformed_input_file_is_one_error_line(tmp_path, argv, text, names):
     path = tmp_path / "input.json"

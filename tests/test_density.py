@@ -16,7 +16,7 @@ from lpcodes.density import (
     threshold_table,
 )
 from lpcodes.geometry import INF, RadiusToken
-from lpcodes.lattices import canonicalize, verify_perfect
+from lpcodes.lattices import IntegerLattice, verify_perfect
 
 TABLE = load_density_table()
 
@@ -213,7 +213,7 @@ def test_cube_check_rejects_bad_radius():
 def test_three_z_squared_perfect_two_ways():
     # 3Z^2 tiles both by the 3x3 square (sup metric, radius 1) and by the
     # 9-point euclidean ball of radius sqrt(2)
-    lat = canonicalize([(3, 0), (0, 3)])
+    lat = IntegerLattice.from_rows([(3, 0), (0, 3)])
     assert verify_perfect(lat, INF, RadiusToken(INF, 1)).is_perfect
     assert verify_perfect(lat, 2, RadiusToken(2, 2)).is_perfect
     # neither tiling contradicts the packing record for its metric

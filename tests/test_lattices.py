@@ -17,7 +17,6 @@ from lpcodes.geometry import (
 from lpcodes.lattices import (
     IntegerLattice,
     _smith,
-    canonicalize,
     hermite_normal_form,
     minimum_distance,
     packing_radius,
@@ -39,7 +38,7 @@ def random_full_rank(rng, n, bound=6):
     while True:
         rows = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(n)]
         try:
-            return canonicalize(rows)
+            return IntegerLattice.from_rows(rows)
         except ValueError:
             continue
 
@@ -47,14 +46,14 @@ def random_full_rank(rng, n, bound=6):
 # ------------------------------------------------------- canonical forms
 
 def test_canonicalize_examples():
-    assert canonicalize(KERNEL_S1).determinant == 5
-    assert canonicalize([(1, 0, 0), (0, 1, 0), (0, 0, 1)]).determinant == 1
-    assert canonicalize(KERNEL_S4).determinant == 13
+    assert IntegerLattice.from_rows(KERNEL_S1).determinant == 5
+    assert IntegerLattice.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, 1)]).determinant == 1
+    assert IntegerLattice.from_rows(KERNEL_S4).determinant == 13
 
 
 def test_canonical_basis_is_lower_triangular():
     for rows in (KERNEL_S1, KERNEL_S4, KERNEL_3D_S3):
-        lat = canonicalize(rows)
+        lat = IntegerLattice.from_rows(rows)
         n = lat.n
         for i in range(n):
             assert lat.basis[i][i] > 0
@@ -65,14 +64,14 @@ def test_canonical_basis_is_lower_triangular():
 
 
 def test_canonicalize_idempotent():
-    lat = canonicalize(KERNEL_S8)
-    again = canonicalize(lat.basis)
+    lat = IntegerLattice.from_rows(KERNEL_S8)
+    again = IntegerLattice.from_rows(lat.basis)
     assert again == lat
 
 
 def test_canonicalize_row_operation_invariant():
     rng = random.Random(2)
-    base = canonicalize(KERNEL_3D_S1)
+    base = IntegerLattice.from_rows(KERNEL_3D_S1)
     for _ in range(25):
         rows = [list(r) for r in base.basis]
         for _ in range(6):
@@ -82,21 +81,21 @@ def test_canonicalize_row_operation_invariant():
             if rng.random() < 0.3:
                 rows[i] = [-a for a in rows[i]]
         rng.shuffle(rows)
-        assert canonicalize(rows) == base
+        assert IntegerLattice.from_rows(rows) == base
 
 
 def test_canonicalize_extra_generators():
     # redundant generating sets reduce to the same lattice
-    lat = canonicalize([(1, 5), (13, 0), (0, 13)], 2)
-    assert lat == canonicalize([(13, 0), (8, 1)])
+    lat = IntegerLattice.from_rows([(1, 5), (13, 0), (0, 13)], 2)
+    assert lat == IntegerLattice.from_rows([(13, 0), (8, 1)])
     assert lat.determinant == 13
 
 
 def test_canonicalize_rejects_rank_deficiency():
     with pytest.raises(ValueError):
-        canonicalize([(1, 2), (2, 4)])
+        IntegerLattice.from_rows([(1, 2), (2, 4)])
     with pytest.raises(ValueError):
-        canonicalize([(0, 0), (0, 3)])
+        IntegerLattice.from_rows([(0, 0), (0, 3)])
 
 
 def test_hermite_form_fixed_values():
@@ -105,14 +104,14 @@ def test_hermite_form_fixed_values():
 
 
 def test_lattice_membership():
-    lat = canonicalize(KERNEL_S1)  # x + 2y = 0 (mod 5)
+    lat = IntegerLattice.from_rows(KERNEL_S1)  # x + 2y = 0 (mod 5)
     assert lat.contains((1, 2))
     assert lat.contains((-3, -1))
     assert not lat.contains((1, 0))
 
 
 def test_lattice_json_roundtrip():
-    lat = canonicalize(KERNEL_3D_S3)
+    lat = IntegerLattice.from_rows(KERNEL_3D_S3)
     assert IntegerLattice.from_json(lat.to_json()) == lat
 
 
@@ -120,9 +119,9 @@ def test_lattice_json_roundtrip():
 
 def test_quotient_structures():
     # quotient_map keeps the invariant factors above 1
-    assert quotient_map(canonicalize([(3, 0), (0, 3)]).basis)[0] == (3, 3)
-    assert quotient_map(canonicalize(KERNEL_S1).basis)[0] == (5,)
-    beta = canonicalize(KERNEL_3D_S3)
+    assert quotient_map(IntegerLattice.from_rows([(3, 0), (0, 3)]).basis)[0] == (3, 3)
+    assert quotient_map(IntegerLattice.from_rows(KERNEL_S1).basis)[0] == (5,)
+    beta = IntegerLattice.from_rows(KERNEL_3D_S3)
     assert beta.determinant == 27
     assert quotient_map(beta.basis)[0] == (27,)
 
@@ -177,13 +176,13 @@ def test_smith_form_direct():
 # ---------------------------------------------- points within a radius
 
 def test_enumerate_in_box_scaled_lattice():
-    pts = canonicalize([(3, 0), (0, 3)]).points_within(RadiusToken(INF, 3))
+    pts = IntegerLattice.from_rows([(3, 0), (0, 3)]).points_within(RadiusToken(INF, 3))
     assert len(pts) == 9
     assert set(pts) == {(3 * a, 3 * b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
 
 
 def test_enumerate_in_box_congruence_filter():
-    pts = set(canonicalize(KERNEL_S1).points_within(RadiusToken(INF, 2)))
+    pts = set(IntegerLattice.from_rows(KERNEL_S1).points_within(RadiusToken(INF, 2)))
     want = {
         v
         for v in itertools.product(range(-2, 3), repeat=2)
@@ -194,7 +193,8 @@ def test_enumerate_in_box_congruence_filter():
 
 def test_enumerate_in_box_zero_radius():
     for rows in (KERNEL_S1, KERNEL_3D_S1):
-        assert canonicalize(rows).points_within(RadiusToken(INF, 0)) == [(0,) * len(rows[0])]
+        origin = [(0,) * len(rows[0])]
+        assert IntegerLattice.from_rows(rows).points_within(RadiusToken(INF, 0)) == origin
 
 
 def reference_enumerate_in_box(lat, box_radius):
@@ -230,7 +230,8 @@ def test_enumerate_in_box_matches_the_recursive_enumeration():
 
 def test_points_within_matches_a_norm_filter_of_the_box():
     rng = random.Random(13)
-    lattices = [canonicalize(rows) for rows in (KERNEL_S1, KERNEL_S8, KERNEL_3D_S1, KERNEL_3D_S3)]
+    lattices = [IntegerLattice.from_rows(rows)
+                for rows in (KERNEL_S1, KERNEL_S8, KERNEL_3D_S1, KERNEL_3D_S3)]
     lattices += [random_full_rank(rng, rng.randint(1, 4), bound=5) for _ in range(40)]
     for lat in lattices:
         for p in (1, 2, 3):
@@ -251,16 +252,16 @@ def test_enumerate_in_box_in_dimension_1200():
 # ----------------------------------------------------- minimum distances
 
 def test_minimum_distance_values():
-    assert minimum_distance(canonicalize([(3, 0), (0, 3)]), 2) == RadiusToken(2, 9)
-    lam = canonicalize([(1, 5), (13, 0), (0, 13)], 2)
+    assert minimum_distance(IntegerLattice.from_rows([(3, 0), (0, 3)]), 2) == RadiusToken(2, 9)
+    lam = IntegerLattice.from_rows([(1, 5), (13, 0), (0, 13)], 2)
     assert minimum_distance(lam, 2) == RadiusToken(2, 13)
 
 
 def test_minimum_distance_lifted_codes():
     # lifts of <(2,0,0,0)> and <(1,1,1,1)> inside Z_4^4 share d^2 = 4
     eye4 = [tuple(4 if i == j else 0 for j in range(4)) for i in range(4)]
-    c1 = canonicalize([(2, 0, 0, 0)] + eye4, 4)
-    c2 = canonicalize([(1, 1, 1, 1)] + eye4, 4)
+    c1 = IntegerLattice.from_rows([(2, 0, 0, 0)] + eye4, 4)
+    c2 = IntegerLattice.from_rows([(1, 1, 1, 1)] + eye4, 4)
     assert minimum_distance(c1, 2) == RadiusToken(2, 4)
     assert minimum_distance(c2, 2) == RadiusToken(2, 4)
     assert packing_radius(c1, 2) == RadiusToken(2, 0)
@@ -268,7 +269,7 @@ def test_minimum_distance_lifted_codes():
 
 
 def test_minimum_distance_sup_metric():
-    lat = canonicalize([(3, 0), (0, 3)])
+    lat = IntegerLattice.from_rows([(3, 0), (0, 3)])
     assert minimum_distance(lat, INF) == RadiusToken(INF, 3)
 
 
@@ -292,13 +293,13 @@ def test_minimum_distance_matches_brute_force():
 # -------------------------------------------------------- packing radius
 
 def test_packing_radius_scaled_lattice():
-    lat = canonicalize([(3, 0), (0, 3)])
+    lat = IntegerLattice.from_rows([(3, 0), (0, 3)])
     assert packing_radius(lat, 2) == RadiusToken(2, 2)
     assert packing_radius(lat, INF) == RadiusToken(INF, 1)
 
 
 def test_packing_radius_dense_lattice_is_zero():
-    assert packing_radius(canonicalize([(1, 0), (0, 1)]), 2) == RadiusToken(2, 0)
+    assert packing_radius(IntegerLattice.from_rows([(1, 0), (0, 1)]), 2) == RadiusToken(2, 0)
 
 
 def test_radius_bracket_random_lattices():
@@ -328,7 +329,8 @@ def test_packing_radius_matches_brute_force():
     for _ in range(20):  # construction-A lifts: a code in Z_q^n plus q Z^n
         n, q = rng.randint(1, 3), rng.randint(2, 7)
         code = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(rng.randint(1, n))]
-        lattices.append(canonicalize(code + [tuple(q * (i == j) for j in range(n)) for i in range(n)], n))
+        lift = [tuple(q * (i == j) for j in range(n)) for i in range(n)]
+        lattices.append(IntegerLattice.from_rows(code + lift, n))
     for lat in lattices:
         for p in (1, 2, 3, INF):
             assert packing_radius(lat, p) == reference_packing_radius(lat, p), (lat.basis, p)
@@ -348,13 +350,13 @@ def test_floor_formula_for_l1_and_sup():
 # ----------------------------------------------------------- perfection
 
 def test_verify_perfect_classified_kernels():
-    assert verify_perfect(canonicalize(KERNEL_S1), 2, RadiusToken(2, 1)).is_perfect
-    assert verify_perfect(canonicalize(KERNEL_S8), 2, RadiusToken(2, 8)).is_perfect
-    assert verify_perfect(canonicalize(KERNEL_3D_S1), 2, RadiusToken(2, 1)).is_perfect
+    assert verify_perfect(IntegerLattice.from_rows(KERNEL_S1), 2, RadiusToken(2, 1)).is_perfect
+    assert verify_perfect(IntegerLattice.from_rows(KERNEL_S8), 2, RadiusToken(2, 8)).is_perfect
+    assert verify_perfect(IntegerLattice.from_rows(KERNEL_3D_S1), 2, RadiusToken(2, 1)).is_perfect
 
 
 def test_verify_perfect_overlap_witness():
-    cert = verify_perfect(canonicalize([(1, 1), (0, 5)]), 2, RadiusToken(2, 1))
+    cert = verify_perfect(IntegerLattice.from_rows([(1, 1), (0, 5)]), 2, RadiusToken(2, 1))
     assert cert.status == "NOT_PERFECT"
     assert cert.failed_condition == "overlap"
     assert cert.witness_vector is not None
@@ -363,14 +365,14 @@ def test_verify_perfect_overlap_witness():
 
 
 def test_verify_perfect_cardinality_mismatch():
-    cert = verify_perfect(canonicalize([(2, 0), (0, 3)]), 2, RadiusToken(2, 1))
+    cert = verify_perfect(IntegerLattice.from_rows([(2, 0), (0, 3)]), 2, RadiusToken(2, 1))
     assert cert.status == "NOT_PERFECT"
     assert cert.failed_condition == "cardinality"
 
 
 def test_verify_perfect_rejects_unachievable_radius():
     with pytest.raises(ValueError):
-        verify_perfect(canonicalize([(1, 2), (0, 5)]), 2, RadiusToken(2, 3))
+        verify_perfect(IntegerLattice.from_rows([(1, 2), (0, 5)]), 2, RadiusToken(2, 3))
 
 
 def test_perfect_implies_packing_radius():
@@ -382,7 +384,7 @@ def test_perfect_implies_packing_radius():
         (KERNEL_3D_S1, 1),
         (KERNEL_3D_S3, 3),
     ):
-        lat = canonicalize(rows)
+        lat = IntegerLattice.from_rows(rows)
         token = RadiusToken(2, s)
         assert verify_perfect(lat, 2, token).is_perfect
         assert packing_radius(lat, 2) == token
@@ -401,7 +403,7 @@ def test_perfect_certificates_tile_sample_boxes():
         ([(3, 0), (0, 3)], INF, RadiusToken(INF, 1)),
     ]
     for rows, p, token in cases:
-        lat = canonicalize(rows)
+        lat = IntegerLattice.from_rows(rows)
         assert lat.determinant <= 30
         assert verify_perfect(lat, p, token).is_perfect
         n = lat.n
@@ -417,7 +419,7 @@ def test_perfect_certificates_tile_sample_boxes():
 
 
 def test_certificate_json_shape():
-    cert = verify_perfect(canonicalize(KERNEL_S1), 2, RadiusToken(2, 1))
+    cert = verify_perfect(IntegerLattice.from_rows(KERNEL_S1), 2, RadiusToken(2, 1))
     obj = cert.to_json()
     assert obj["status"] == "PERFECT"
     assert obj["failed_condition"] is None
