@@ -20,7 +20,7 @@ c13 = LinearCodeZq(13, 2, ((1, 5),))
 print(f"<(1,5)> in Z_13^2: {c13.cardinality} words")
 print(f"  2-Lee minimum distance s = {code_minimum_distance(c13, 2).power_value}")
 print(f"  2-Lee packing radius  s = {code_packing_radius(c13, 2).power_value}")
-print(f"  perfect at r=2?  {code_is_perfect(c13, 2, RadiusToken(2, 4))}")
+print(f"  perfect at r=2?  {code_is_perfect(c13, RadiusToken(2, 4))}")
 
 print("\nConstruction A transfer (2r < q, so radii agree):")
 for p in (1, 2, 3):
@@ -32,7 +32,7 @@ for p in (1, 2, 3):
 print("\nWhere the transfer fails: the binary repetition code of length 7.")
 rep = LinearCodeZq(2, 7, ((1,) * 7,))
 print(f"  perfect at r=3 in the Lee (= Hamming) metric:"
-      f" {code_is_perfect(rep, 1, RadiusToken(1, 3))}")
+      f" {code_is_perfect(rep, RadiusToken(1, 3))}")
 cert = transfer_packing_radius(rep, 1)
 print(f"  2r = 6 >= q = 2, condition met: {cert.condition_met}"
       f"  (lift determinant {construction_a(rep).determinant})")
@@ -45,4 +45,4 @@ for q in (2, 4, 6, 8, 9, 12, 49):
 
 c49 = LinearCodeZq(49, 2, ((1, 7),))
 print(f"\n<(1,7)> in Z_49^2 is 3-perfect in l_inf:"
-      f" {code_is_perfect(c49, INF, RadiusToken(INF, 3))}")
+      f" {code_is_perfect(c49, RadiusToken(INF, 3))}")

@@ -31,7 +31,7 @@ for n in (2, 3):
 print("\nInduced density just above the cutoff exceeds the record:")
 delta2 = table.lookup(2, 2)
 print(f"  n=2: record {delta2:.7f},"
-      f" induced at s=294 -> {induced_density_lower_bound(2, 2, RadiusToken(2, 294)):.7f}")
+      f" induced at s=294 -> {induced_density_lower_bound(2, RadiusToken(2, 294)):.7f}")
 
 print("\nHigh dimensions die immediately: (n/p + 1) * 2^(-n/p) collapses.")
 for n in (30, 60):

@@ -158,7 +158,7 @@ def cmd_code(args):
         payload["minimum_distance_s"] = zqcodes.code_minimum_distance(code, args.p).power_value
         payload["packing_radius_s"] = zqcodes.code_packing_radius(code, args.p).power_value
     if args.s is not None:
-        payload["perfect"] = zqcodes.code_is_perfect(code, args.p, RadiusToken(args.p, args.s))
+        payload["perfect"] = zqcodes.code_is_perfect(code, RadiusToken(args.p, args.s))
     if args.transfer:
         payload["transfer"] = zqcodes.transfer_packing_radius(code, args.p).to_json()
     return payload
@@ -203,6 +203,8 @@ def _usable_cores():
 def cmd_tile_region(args):
     from . import tiler
 
+    if args.budget is None:  # the manifest records the budget the search used
+        args.budget = tiler.DEFAULT_BUDGET
     footprint = enumerate_ball(args.n, RadiusToken.from_radius(args.p, args.r))
     result = tiler.tile_region(footprint, args.extent, budget=args.budget, jobs=_usable_cores())
     return result.to_json()
@@ -331,7 +333,7 @@ def build_parser():
     p_tile.add_argument("--p", type=_parse_exponent, required=True)
     p_tile.add_argument("--r", type=int, required=True, help="integer ball radius")
     p_tile.add_argument("--extent", type=int, required=True)
-    p_tile.add_argument("--budget", type=_int_at_least("budget", 0), default=10**7)
+    p_tile.add_argument("--budget", type=_int_at_least("budget", 0))
 
     p_render = command("render", cmd_render, "SVG from a ball/search/tile-region artifact")
     p_render.add_argument("--input", required=True)

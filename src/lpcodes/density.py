@@ -127,7 +127,7 @@ def load_density_table(path=None):
     return DensityTable.from_json(json.loads(text))
 
 
-def induced_density_lower_bound(n, p, token):
+def induced_density_lower_bound(n, token):
     """Packing density any r-perfect code would force: V (r - n^(1/p)/2)^n / mu.
 
     The minimum distance of an r-perfect code exceeds 2r - n^(1/p), so
@@ -135,8 +135,7 @@ def induced_density_lower_bound(n, p, token):
     determinant equals the ball count.  Radii below the offset give a
     vacuous bound, reported as 0.
     """
-    if token.p != p:
-        raise ValueError("token exponent disagrees with p")
+    p = token.p
     if p == INF:
         raise ValueError("density machinery applies to finite p")
     r = token.power_value ** (1.0 / p)
@@ -187,7 +186,7 @@ def surviving_radii(n, p, delta):
     out = []
     for s in distance_sets.enumerate_achievable(p, n, s_cap).achievable:
         token = geometry.RadiusToken(p, s)
-        if induced_density_lower_bound(n, p, token) <= delta:
+        if induced_density_lower_bound(n, token) <= delta:
             out.append(s)
     return out
 

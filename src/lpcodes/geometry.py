@@ -9,8 +9,8 @@ exact for any exponent and any size input.
 
 import contextlib
 import functools
-import itertools
 import math
+from bisect import bisect_right
 from collections import namedtuple
 
 from .intmath import factorize, iroot
@@ -112,6 +112,10 @@ class RadiusToken(namedtuple("RadiusToken", "p power_value")):
         if not isinstance(r, int) or r < 0:
             raise ValueError("from_radius expects a nonnegative integer radius")
         return cls(p, r if p == INF else r**p)
+
+    def cost(self, y):
+        """The power a coordinate of absolute value y spends: y**p, or 0 for p = inf."""
+        return 0 if self.p == INF else y**self.p
 
     def floor_radius(self):
         """The integer part of the radius, exactly."""
@@ -268,22 +272,18 @@ def enumerate_ball(n, token):
     if not isinstance(token, RadiusToken):
         raise ValueError("radius must be a RadiusToken")
     check_ball_size(n, token)
-    if token.p == INF:
-        rng = range(-token.power_value, token.power_value + 1)
-        pts = tuple(itertools.product(rng, repeat=n))
-        return DiscreteBall(n, token, pts)
-    p, s = token.p, token.power_value
+    s = token.power_value
     out = []
     # Prefixes grow one coordinate at a time while they leave some power
     # budget; a prefix that spends it all ends in zeros, so only prefixes
     # of points with a later nonzero coordinate are kept (at most |B|).
-    power = [c**p for c in range(iroot(s, p) + 1)]
+    power = [token.cost(y) for y in range(token.floor_radius() + 1)]
     zeros = (0,) * n
     live = [((), s)]
     for i in range(1, n):
         grown = []
         for head, budget in live:
-            top = iroot(budget, p)
+            top = bisect_right(power, budget) - 1
             for c in range(-top, top + 1):
                 rest = budget - power[abs(c)]
                 if rest:
@@ -292,7 +292,7 @@ def enumerate_ball(n, token):
                     out.append(head + (c,) + zeros[i:])
         live = grown
     for head, budget in live:
-        top = iroot(budget, p)
+        top = bisect_right(power, budget) - 1
         out += [head + (c,) for c in range(-top, top + 1)]
     out.sort()
     return DiscreteBall(n, token, tuple(out))
@@ -388,23 +388,18 @@ def balls_overlap(v, n, token):
     v = _check_point(v)
     if len(v) != n:
         raise ValueError("dimension mismatch")
-    if token.p == INF:
-        return all(abs(c) <= 2 * token.power_value for c in v)
-    p, s = token.p, token.power_value
-    top = iroot(s, p)
+    s, top = token.power_value, token.floor_radius()
     if any(abs(c) > 2 * top for c in v):
         return False  # every ball coordinate lies in [-top, top]
-    vpow = sum(abs(c) ** p for c in v)
-    if vpow <= s:
+    if norm_power(v, token.p) <= s:
         return True  # x = v, y = 0
-    # best[u] = minimal sum |x_i - v_i|^p over x with sum |x_i|^p = u
+    cost = [token.cost(y) for y in range(top + 1)]
+    # best[u] = minimal sum cost(x_i - v_i) over x with sum cost(x_i) = u
     best = {0: 0}
     for c in v:
         nxt = {}
         for a in range(max(-top, c - top), min(top, c + top) + 1):
-            du, dw = abs(a) ** p, abs(a - c) ** p
-            if du > s or dw > s:
-                continue
+            du, dw = cost[abs(a)], cost[abs(a - c)]
             for u, w in best.items():
                 if u + du <= s and w + dw <= s:
                     key = u + du

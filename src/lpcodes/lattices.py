@@ -114,13 +114,12 @@ class IntegerLattice(namedtuple("IntegerLattice", "n basis determinant")):
         Fixes the coefficient of one basis row per level, the last row
         first, so the depth is not bounded by Python's recursion limit.
         Row i is the last to touch coordinate i, so once its coefficient
-        is chosen that coordinate is final, and its power must fit in what
-        the later coordinates left (Fincke-Pohst pruning).  Every cost is
-        0 for p = inf, where the ball is the sup-norm box.
+        is chosen that coordinate y is final, and token.cost(|y|) must fit
+        in the power the later coordinates left (Fincke-Pohst pruning).
+        For p = inf every cost is 0, so the ball is the sup-norm box.
         """
-        p, s = token
-        top = token.floor_radius()
-        cost = [0] * (top + 1) if p == INF else [y**p for y in range(top + 1)]
+        s, top = token.power_value, token.floor_radius()
+        cost = [token.cost(y) for y in range(top + 1)]
         # (coordinates 0..i, still moved by rows up to i; final coordinates; power left)
         level = [((0,) * self.n, (), s)]
         for i in range(self.n - 1, 0, -1):

@@ -41,6 +41,8 @@ __all__ = [
     "tile_region",
 ]
 
+DEFAULT_BUDGET = 10**7
+
 
 def _integer_radius_of(footprint):
     r = footprint.radius.integer_radius()
@@ -119,7 +121,7 @@ class TileResult(namedtuple("TileResult", "status extent footprint centers nodes
         }
 
 
-def tile_region(footprint, extent, budget=10**7, jobs=1):
+def tile_region(footprint, extent, budget=DEFAULT_BUDGET, jobs=1):
     """Exact-cover search for [-extent, extent]^n by translates of the ball.
 
     The origin tile is pre-placed; candidate centers range over

@@ -12,7 +12,7 @@ when 2r < q.
 from collections import namedtuple
 
 from . import distance_sets, intmath, lattices
-from .geometry import INF, MAX_BALL_POINTS, RadiusToken, norm_power, plee_distance
+from .geometry import MAX_BALL_POINTS, RadiusToken, norm_power, plee_distance
 from .lattices import IntegerLattice
 
 __all__ = [
@@ -105,11 +105,9 @@ def zq_ball(q, n, token):
     Raises ValueError, before listing any word, for a ball of more than
     MAX_BALL_POINTS words.
     """
-    s = token.power_value
-    # (residue, cost) pairs a coordinate may take; the sup metric bounds
-    # each coordinate alone, so there a coordinate costs nothing
-    allowed = [(a, 0 if token.p == INF else c) for a in range(q)
-               if (c := norm_power((min(a, q - a),), token.p)) <= s]
+    s, top = token.power_value, token.floor_radius()
+    # (residue, cost) pairs a coordinate may take
+    allowed = [(a, token.cost(lee)) for a in range(q) if (lee := min(a, q - a)) <= top]
     # words of each length by the budget they leave; a longer word never
     # has fewer, so the count refuses as soon as it passes the guard
     left, size = {s: 1}, 1
@@ -177,13 +175,13 @@ def code_packing_radius(code, p):
         s += 1
 
 
-def code_is_perfect(code, p, token):
+def code_is_perfect(code, token):
     """Exact cover check: every point of Z_q^n in exactly one codeword ball.
 
     The power value must be achievable modulo q, or beyond the diameter of
     Z_q^n, where the ball is all of it.
     """
-    q, n, s = code.q, code.n, token.power_value
+    q, n, (p, s) = code.q, code.n, token
     if s <= norm_power((q // 2,) * n, p):
         distance_sets.check_achievable(p, n, s, q)
     covered = _translates(code, code.codewords(), zq_ball(q, n, token))
@@ -223,7 +221,7 @@ def transfer_packing_radius(code, p):
     if not condition:
         return TransferCertificate(code, p, r, False, None, None, None, None)
     lat_r = lattices.packing_radius(lat, p)
-    perfect = code_is_perfect(code, p, r)
+    perfect = code_is_perfect(code, r)
     status = None
     if perfect:
         status = lattices.verify_perfect(lat, p, r).status

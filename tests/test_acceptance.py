@@ -215,15 +215,15 @@ def test_criterion_10_sup_metric_suite():
                 if code.cardinality in (1, q**n):
                     continue
                 r = code_packing_radius(code, INF)
-                if r.power_value >= 1 and code_is_perfect(code, INF, r):
+                if r.power_value >= 1 and code_is_perfect(code, r):
                     exists = True
                     break
             assert exists == linfty_existence(q, n).exists, (q, n)
     c49 = LinearCodeZq(49, 2, ((1, 7),))
-    assert code_is_perfect(c49, INF, RadiusToken(INF, 3))
+    assert code_is_perfect(c49, RadiusToken(INF, 3))
     check = cubic_polyomino_check(2, 3, 3)
     assert check.equal and check.ball_token == RadiusToken(3, 54)
-    assert code_is_perfect(c49, 3, check.ball_token)
+    assert code_is_perfect(c49, check.ball_token)
     _stamp(10, "sup-metric existence suite", t0, 120)
 
 
@@ -238,7 +238,7 @@ def test_criterion_11_construction_a_transfer():
         assert cert.lattice_status == "PERFECT"
     rep = LinearCodeZq(2, 7, ((1,) * 7,))
     rep_cert = transfer_packing_radius(rep, 1)
-    assert code_is_perfect(rep, 1, RadiusToken(1, 3))
+    assert code_is_perfect(rep, RadiusToken(1, 3))
     assert not rep_cert.condition_met
     _stamp(11, "construction-A transfer", t0, 60)
 
@@ -332,5 +332,5 @@ def test_criterion_18_exhausted_lee_token_rules_out_codes_over_z5():
     assert len(generators) == 31
     codes = [LinearCodeZq(5, 3, (v,)) for v in generators]
     assert len({frozenset(code.codewords()) for code in codes}) == 31
-    assert not any(code_is_perfect(code, 1, token) for code in codes)
+    assert not any(code_is_perfect(code, token) for code in codes)
     _stamp(18, "no perfect Lee radius-2 code over Z_5^3", t0, 60)

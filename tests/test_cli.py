@@ -99,6 +99,16 @@ ARTIFACT_SHA256 = {
     # the benchmark's l_2 plane sweep, the digest tests/test_homsearch.py pins
     "search --n 2 --p 2 --s-max 90":
         "6add2caf25510afd48f8a662b0ebd44d60880b30660a7b035b64c4ed6dc396eb",
+    # the sup metric, fixed while its balls still had their own code path
+    "ball --n 3 --p inf --s 2": "6ab666913647b102f542cf09049f3e4a44de9a8372b9814a92da8ac9b7bceebd",
+    "verify --basis 3,0;0,3 --p inf --s 1":  # PERFECT
+        "84ed7b962d8fa031f1636ac5c91bdab98d9e8d161382d533326335d04e028960",
+    "verify --basis 9,0;1,1 --p inf --s 1":  # NOT_PERFECT: overlap, witness (-2, -2)
+        "eabd3f3ac1295786f95da9e1ae749f29fb63d10ba1c66b32f9e37517f0b96892",
+    "search --n 2 --p inf --s-max 8":
+        "07269f1e443d146a71b6353f7bffd588079a5f2c19566762feaa463438394b3f",
+    "code --q 9 --n 2 --gen 3,0 --gen 0,3 --p inf --s 1 --transfer":
+        "4f77d5e5828bc497b16dce54f75ce95bc933ed75f7944ce299726e9f8d41a410",
 }
 
 

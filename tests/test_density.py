@@ -99,26 +99,21 @@ def test_radius_bound_rejects_degenerate_delta():
 # --------------------------------------------------------- induced bound
 
 def test_induced_density_values():
-    assert induced_density_lower_bound(2, 2, RadiusToken(2, 294)) == pytest.approx(0.9099887, abs=1e-6)
-    assert induced_density_lower_bound(3, 2, RadiusToken(2, 93)) == pytest.approx(0.7472500, abs=1e-6)
-    assert induced_density_lower_bound(2, 2, RadiusToken(2, 1)) == pytest.approx(0.0539012, abs=1e-6)
-    assert induced_density_lower_bound(2, 2, RadiusToken(2, 0)) == 0.0
+    assert induced_density_lower_bound(2, RadiusToken(2, 294)) == pytest.approx(0.9099887, abs=1e-6)
+    assert induced_density_lower_bound(3, RadiusToken(2, 93)) == pytest.approx(0.7472500, abs=1e-6)
+    assert induced_density_lower_bound(2, RadiusToken(2, 1)) == pytest.approx(0.0539012, abs=1e-6)
+    assert induced_density_lower_bound(2, RadiusToken(2, 0)) == 0.0
 
 
 def test_induced_density_exceeds_record_beyond_threshold():
     # at s = 294 a perfect code would beat the hexagonal density: contradiction
-    assert induced_density_lower_bound(2, 2, RadiusToken(2, 294)) > TABLE.lookup(2, 2)
-    assert induced_density_lower_bound(3, 2, RadiusToken(2, 93)) > TABLE.lookup(3, 2)
+    assert induced_density_lower_bound(2, RadiusToken(2, 294)) > TABLE.lookup(2, 2)
+    assert induced_density_lower_bound(3, RadiusToken(2, 93)) > TABLE.lookup(3, 2)
 
 
 def test_induced_density_monotone_in_radius():
-    vals = [induced_density_lower_bound(2, 2, RadiusToken(2, s)) for s in (2, 9, 36, 100, 294)]
+    vals = [induced_density_lower_bound(2, RadiusToken(2, s)) for s in (2, 9, 36, 100, 294)]
     assert vals == sorted(vals)
-
-
-def test_induced_density_rejects_wrong_exponent():
-    with pytest.raises(ValueError):
-        induced_density_lower_bound(2, 2, RadiusToken(1, 4))
 
 
 # -------------------------------------------------------------- survivors
@@ -143,7 +138,7 @@ def test_survivors_are_achievable_and_below_bound():
 
     for s in surv:
         assert is_achievable(2, 2, s)
-        assert induced_density_lower_bound(2, 2, RadiusToken(2, s)) <= TABLE.lookup(2, 2)
+        assert induced_density_lower_bound(2, RadiusToken(2, s)) <= TABLE.lookup(2, 2)
 
 
 # ----------------------------------------------------- high-dimension bound
@@ -217,4 +212,4 @@ def test_three_z_squared_perfect_two_ways():
     assert verify_perfect(lat, INF, RadiusToken(INF, 1)).is_perfect
     assert verify_perfect(lat, 2, RadiusToken(2, 2)).is_perfect
     # neither tiling contradicts the packing record for its metric
-    assert induced_density_lower_bound(2, 2, RadiusToken(2, 2)) <= TABLE.lookup(2, 2)
+    assert induced_density_lower_bound(2, RadiusToken(2, 2)) <= TABLE.lookup(2, 2)

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from lpcodes.density import induced_density_lower_bound
-from lpcodes.distance_sets import is_achievable
+from lpcodes.density import _eval_expr, induced_density_lower_bound
+from lpcodes.distance_sets import is_achievable, is_sum_of_three_squares, is_sum_of_two_squares
 from lpcodes.geometry import (
     INF,
     RadiusToken,
@@ -19,9 +19,11 @@ from lpcodes.geometry import (
 )
 from lpcodes.intmath import factorize, iroot
 from lpcodes.lattices import IntegerLattice, verify_perfect
+from lpcodes.svg import render_lattice_tiling, render_placements
 from lpcodes.tiler import classify_point, excludes_plane_tiling, excludes_space_tiling, tile_region
 from lpcodes.zqcodes import (
     LinearCodeZq,
+    code_is_perfect,
     code_minimum_distance,
     code_packing_radius,
     linfty_existence,
@@ -80,9 +82,28 @@ def ball():
                  id="compare_root_sums-radicand"),
     pytest.param(lambda: superball_volume(0, 2), "dimension must be >= 1", id="superball_volume-n"),
     pytest.param(lambda: superball_volume(2, 0), "exponent must be >= 1", id="superball_volume-p"),
-    pytest.param(lambda: induced_density_lower_bound(2, INF, RadiusToken(INF, 1)),
+    pytest.param(lambda: induced_density_lower_bound(2, RadiusToken(INF, 1)),
                  "density machinery applies to finite p", id="induced_density_lower_bound-inf"),
+    pytest.param(lambda: code_is_perfect(LinearCodeZq(13, 2, ((1, 5),)), RadiusToken(2, 3)),
+                 "s=3 is not an achievable p-Lee power for (p=2, n=2, q=13)",
+                 id="code_is_perfect-token"),
+    pytest.param(lambda: render_placements([(0, 0, 0)], [(0, 0, 0)]),
+                 "only 2-D tilings can be rendered", id="render_placements-3d"),
+    pytest.param(lambda: render_lattice_tiling([(0, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                 "only 2-D lattices can be rendered", id="render_lattice_tiling-3d"),
 ])
 def test_invalid_input_is_refused_with_its_reason(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(lambda: IntegerLattice.from_rows([(1, 0), (0, 5)], 2).contains((0, 0, 0)), False,
+                 id="contains-wrong-length"),
+    pytest.param(lambda: is_sum_of_two_squares(-1), False, id="is_sum_of_two_squares-negative"),
+    pytest.param(lambda: is_sum_of_three_squares(-1), False, id="is_sum_of_three_squares-negative"),
+    pytest.param(lambda: superball_volume(3, INF), 8.0, id="superball_volume-inf"),
+    pytest.param(lambda: _eval_expr("2^-1"), 0.5, id="eval_expr-unary-minus"),
+])
+def test_edge_input_is_answered_not_refused(call, value):
+    assert call() == value

@@ -223,7 +223,7 @@ def test_packing_radius_over_a_large_alphabet(q, p):
     # distance table reaches
     code = LinearCodeZq(q, 2, ((1, 3),))
     assert code_packing_radius(code, p) == RadiusToken(p, 2)
-    assert not code_is_perfect(code, p, RadiusToken(p, 2))
+    assert not code_is_perfect(code, RadiusToken(p, 2))
 
 
 def test_packing_radius_sup_metric_against_brute_force():
@@ -242,15 +242,17 @@ def test_packing_radius_of_full_code_is_zero():
 # ------------------------------------------------------------ perfection
 
 def test_perfect_codes():
-    assert code_is_perfect(C13, 2, RadiusToken(2, 4))
-    assert code_is_perfect(C49, INF, RadiusToken(INF, 3))
-    assert code_is_perfect(REP2_7, 1, RadiusToken(1, 3))
+    assert code_is_perfect(C13, RadiusToken(2, 4))
+    assert code_is_perfect(C49, RadiusToken(INF, 3))
+    assert code_is_perfect(REP2_7, RadiusToken(1, 3))
+    assert code_is_perfect(C13, RadiusToken(1, 2))  # also the Lee-perfect code
 
 
 def test_imperfect_codes():
-    assert not code_is_perfect(C2_44, 2, RadiusToken(2, 1))  # 4 * 9 != 256
-    assert not code_is_perfect(C13, 2, RadiusToken(2, 2))  # balls too small
-    assert not code_is_perfect(C13, 2, RadiusToken(2, 5))  # balls overlap
+    assert not code_is_perfect(C2_44, RadiusToken(2, 1))  # 4 * 9 != 256
+    assert not code_is_perfect(C13, RadiusToken(2, 2))  # balls too small
+    assert not code_is_perfect(C13, RadiusToken(2, 5))  # balls overlap
+    assert not code_is_perfect(C13, RadiusToken(1, 3))  # a Lee token, checked as one
 
 
 def test_perfect_equals_exact_cover():
@@ -342,13 +344,13 @@ def test_linfty_witness_structure():
     assert (verdict.b, verdict.m, verdict.radius) == (3, 2, 1)
     code = verdict.code
     assert code.cardinality * (2 * verdict.radius + 1) ** 3 == 6**3
-    assert code_is_perfect(code, INF, RadiusToken(INF, verdict.radius))
+    assert code_is_perfect(code, RadiusToken(INF, verdict.radius))
 
 
 def test_linfty_witness_49():
     verdict = linfty_existence(49, 2)
     assert (verdict.b, verdict.m, verdict.radius) == (7, 7, 3)
-    assert code_is_perfect(verdict.code, INF, RadiusToken(INF, 3))
+    assert code_is_perfect(verdict.code, RadiusToken(INF, 3))
 
 
 def test_linfty_existence_independent_of_dimension():
@@ -362,7 +364,7 @@ def brute_linfty_exists(q, n):
         if code.cardinality in (1, q**n):
             continue
         r = code_packing_radius(code, INF)
-        if r.power_value >= 1 and code_is_perfect(code, INF, r):
+        if r.power_value >= 1 and code_is_perfect(code, r):
             return True
     return False
 
