@@ -315,7 +315,7 @@ def build_parser():
     p_search = command("search", cmd_search, "classify tokens by homomorphism search")
     p_search.add_argument("--n", type=int, required=True)
     p_search.add_argument("--p", type=_parse_exponent, required=True)
-    p_search.add_argument("--s-max", type=int, required=True)
+    p_search.add_argument("--s-max", type=_int_at_least("s-max", 0), required=True)
     p_search.add_argument("--budget", type=_int_at_least("budget", 0))
     p_search.add_argument("--jobs", type=_int_at_least("jobs", 1), default=1,
                           help="processes that search, this one included")

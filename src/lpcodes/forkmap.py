@@ -51,7 +51,10 @@ def ordered_map(fn, items, jobs):
     kills and reaps every child left.  fn and the items reach the children
     through fork, so only the results are pickled.  For jobs = 1, or
     without os.fork, the caller computes every item itself: a plain loop.
+    jobs < 1 raises ValueError when the iteration starts.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = list(items)
     k = max(1, min(jobs, len(items))) if hasattr(os, "fork") else 1
     if k > 1:  # only a map that forks pickles results or kills children

@@ -19,17 +19,18 @@ basis, row j = (h_0, ..., h_{j-1}, d_j) with d_0 * ... * d_{n-1} = m and
   and (v_j / d_j) h = v[:j] modulo L_{j-1}, for then v lies in the
   lattice.
 
-Each node of the walk (the rows fixed so far) puts Z^j / L_{j-1} in
-quotient coordinates once, for all its diagonals: lattices.quotient_map
-gives an isomorphism phi onto Z_e1 x ... x Z_ek (in closed form under a
-cyclic prefix, by the Smith form otherwise), packed into an index below
-M = d_0 * ... * d_{j-1}, and a reach table maps phi(u), for each prefix
-u = v[:j] of B - B, to the largest v_j over prefixes with that image.
-The test above is then reach[y phi(h)] >= y d_j for some y >= 1: one
-list lookup and a few modular multiplications per residue, on single
-ints when the quotient is cyclic.  A node builds its table on
-the first diagonal that B - B can reach, so a node whose first residue
-passes outright never builds one.
+Each node of the walk (the rows fixed so far) tabulates B - B once, for
+all its diagonals, by residue index: each prefix u = v[:j] of B - B is
+reduced by the rows, top coordinate first, to its canonical residue, and
+reach[idx] is the largest v_j over the prefixes whose residue has index
+idx.  The test above is then reach[idx(y h)] >= y d_j for some y >= 1.
+Along a run of h_0 (h_1, ..., h_{j-1} fixed) y h has index (y h_0 +
+off_y) mod d_0 + d_0 R_y, with off_y and R_y from one reduction of
+y (0, h_1, ..., h_{j-1}) per run, so a residue costs one lookup and, if
+that passes, one lookup per multiple; under a cyclic prefix the scan is
+one run with off_y = R_y = 0.  A node builds its table on the first
+diagonal that B - B can reach, so a node whose first residue passes
+outright never builds one.
 
 The ball and B - B are invariant under signed permutations of the
 coordinates.  One that moves only the first j coordinates maps the
@@ -53,7 +54,6 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import cache, reduce
 from math import gcd, prod
-from operator import mul
 
 from . import distance_sets, lattices
 from .forkmap import ordered_map
@@ -149,94 +149,82 @@ def _residue(idx, radix):
 
 
 class _Quotient:
-    """Z^j / L for the Hermite rows fixed so far, in quotient coordinates.
+    """Z^j / L for the Hermite rows fixed so far, keyed by residue index.
 
-    lattices.quotient_map gives an isomorphism phi onto Z_e1 x ... x Z_ek
-    (the invariant factors above 1), packed into an index below
-    M = d_0 ... d_{j-1} (e_1 least significant).  reach[phi(u)] is the
-    largest top over the prefixes u of B - B at level j with that image,
-    0 where there is none; tops below the least diagonal the node tests
-    can reject nothing and are left out.
+    reach[idx] is the largest top over the prefixes u of B - B at level j
+    whose canonical residue has mixed-radix index idx (h_0 least
+    significant, as the walk scans), 0 where there is none; tops below the
+    least diagonal the node tests can reject nothing and are left out.  A
+    prefix is reduced by the rows top coordinate first, column by column,
+    and a unit diagonal costs no division.
 
-    scan(hi, lo, d, ymax) returns the first canonical residue index from
-    hi down to lo whose row passes under diagonal d, or -1.  Along a run
-    of h_0 (the higher digits fixed) phi steps by -phi(e_0), so each
-    residue costs a lookup and, if that passes, a few multiplications;
-    a cyclic quotient (k <= 1) does this on single ints mod M.
+    scan(hi, lo, d, ymax) returns the first index from hi down to lo whose
+    row h passes under diagonal d, or -1.  It walks one run at a time, a
+    run being one setting of h_1, ..., h_{j-1}.  Within a run y h reduces
+    to index (y h_0 + off_y) mod d_0 + d_0 R_y, where off_y and R_y come
+    from reducing y (0, h_1, ..., h_{j-1}), once per run for every y the
+    node can test (_offsets); under a cyclic prefix they are 0, so y h is
+    y h_0 mod d_0.
     """
 
     def __init__(self, rows, radix, level, least):
-        j = len(rows)
-        self.radix = radix
-        square = [row + (0,) * (j - len(row)) for row in rows]
-        self.factors, self.images = lattices.quotient_map(square)
-        self.order = prod(self.factors)
-        self.strides = [prod(self.factors[:c]) for c in range(len(self.factors))]
+        self.rows, self.radix = tuple(rows), radix  # descend pushes and pops its rows
+        self.inner = radix[0] if radix else 1  # the length of a run
         tops, columns = level
         start = bisect_left(tops, least)
         columns = [col[start:] for col in columns]
         keys = [0] * (len(tops) - start)
-        for c, (e, stride) in enumerate(zip(self.factors, self.strides)):
-            comp = [0] * len(keys)
-            for col, img in zip(columns, self.images):
-                comp = [a + x * img[c] for a, x in zip(comp, col)]
-            keys = [key + a % e * stride for key, a in zip(keys, comp)]
+        for i in range(len(rows) - 1, -1, -1):
+            d, quotients = radix[i], columns[i]
+            if d > 1:
+                quotients = [x // d for x in columns[i]]
+                stride = prod(radix[:i])
+                keys = [key + (x - q * d) * stride for key, x, q in zip(keys, columns[i], quotients)]
+            for c, h in enumerate(rows[i][:i]):
+                if h:
+                    columns[c] = [x - q * h for x, q in zip(columns[c], quotients)]
         # ascending tops: the last write to a key is its largest top
-        self.reach = [0] * self.order
+        self.reach = [0] * prod(radix)
         for key, top in zip(keys, tops[start:]):
             self.reach[key] = top
-        if len(self.factors) <= 1:
-            self.gens = [img[0] if img else 0 for img in self.images] or [0]
-            self.outer = list(zip(radix[1:], self.gens[1:]))
-            self.scan = self._scan_cyclic
-        else:
-            self.scan = self._scan_general
+        self.ymax = tops[-1] // least  # the most multiples any scan tests
+        self.offsets = {}  # run -> _offsets(run)
 
-    def _phi(self, x):
-        return [sum(xi * img[c] for xi, img in zip(x, self.images)) % e
-                for c, e in enumerate(self.factors)]
+    def _offsets(self, run):
+        """(y, off_y, d_0 R_y) for y = 2 .. ymax, h_1, ..., h_{j-1} the digits of run."""
+        if run not in self.offsets:
+            rows, radix, inner = self.rows, self.radix, self.inner
+            h = (0,) + _residue(run, radix[1:])
+            out = []
+            for y in range(2, self.ymax + 1):
+                v, start = [y * c for c in h], 0
+                for i in range(len(rows) - 1, 0, -1):
+                    q, v[i] = divmod(v[i], radix[i])
+                    start = start * radix[i] + v[i]
+                    if q:
+                        for c, hc in enumerate(rows[i][:i]):
+                            v[c] -= q * hc
+                out.append((y, v[0] % inner, start * inner))
+            self.offsets[run] = out
+        return self.offsets[run]
 
-    def _scan_general(self, hi, lo, d, ymax):
-        reach, factors, strides, radix = self.reach, self.factors, self.strides, self.radix
-        inner, step = radix[0], self.images[0]
-        block, top = divmod(hi, inner)
+    def scan(self, hi, lo, d, ymax):
+        reach, inner = self.reach, self.inner
+        run, top = divmod(hi, inner)
         while True:
-            phi = self._phi(_residue(block * inner + top, radix))
-            for h0 in range(top, max(lo - block * inner, 0) - 1, -1):
-                if reach[sum(map(mul, phi, strides))] < d:
-                    for y in range(2, ymax + 1):
-                        key = sum(map(mul, [y * a % e for a, e in zip(phi, factors)], strides))
-                        if reach[key] >= y * d:
+            base, multiples = run * inner, None
+            for h0 in range(top, max(lo - base, 0) - 1, -1):
+                if reach[base + h0] < d:
+                    if multiples is None:
+                        multiples = self._offsets(run)[:ymax - 1]
+                    for y, off, start in multiples:
+                        if reach[(y * h0 + off) % inner + start] >= y * d:
                             break
                     else:
-                        return block * inner + h0
-                phi = [(a - s) % e for a, s, e in zip(phi, step, factors)]
-            if block * inner <= lo:
+                        return base + h0
+            if base <= lo:
                 return -1
-            block, top = block - 1, inner - 1
-
-    def _scan_cyclic(self, hi, lo, d, ymax):
-        M, reach = self.order, self.reach
-        inner, g0 = (self.radix or [1])[0], self.gens[0]
-        multiples = [(y, y * d) for y in range(2, ymax + 1)]
-        block, top = divmod(hi, inner)
-        while True:
-            rest, base = block, top * g0
-            for d_i, g_i in self.outer:
-                rest, c = divmod(rest, d_i)
-                base += c * g_i
-            g = base % M
-            for h0 in range(top, max(lo - block * inner, 0) - 1, -1):
-                if reach[g] < d:
-                    for y, yd in multiples:
-                        if reach[y * g % M] >= yd:
-                            break
-                    else:
-                        return block * inner + h0
-                g = (g - g0) % M
-            if block * inner <= lo:
-                return -1
-            block, top = block - 1, inner - 1
+            run, top = run - 1, inner - 1
 
 
 @cache
@@ -323,8 +311,8 @@ def _has_earlier_image(rows):
 def _find_kernel(n, m, slices, budget, counter):
     """The first index-m lattice in walk order meeting B - B only at 0, or None.
 
-    Row h under diagonal d is rejected iff reach[y phi(h)] >= y d for
-    some y >= 1, for then some prefix u with phi(u) = y phi(h) reaches
+    Row h under diagonal d is rejected iff reach[idx(y h)] >= y d for
+    some y >= 1, for then some prefix u = y h modulo the rows reaches
     y d, and (u, y d) in B - B lies in the lattice.  A node of 2 to n - 1
     rows with an earlier image (_has_earlier_image) is skipped.
 

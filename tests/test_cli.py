@@ -107,6 +107,14 @@ ARTIFACT_SHA256 = {
         "eabd3f3ac1295786f95da9e1ae749f29fb63d10ba1c66b32f9e37517f0b96892",
     "search --n 2 --p inf --s-max 8":
         "07269f1e443d146a71b6353f7bffd588079a5f2c19566762feaa463438394b3f",
+    # walks through nodes of two and three rows, fixed while each node still
+    # mapped Z^j / L to Smith quotient coordinates; n=3 p=1 crosses Z_5 x Z_5
+    "search --n 3 --p 2 --s-max 24":
+        "3ff44322fa0e3b2c5c28ef2cea197561fdde535b9646de523883fc2f276fa140",
+    "search --n 3 --p 1 --s-max 6":
+        "c1c3b2e1c2690d2489fde4e7c7e421bfe475c8bd1a3f23de35d3daebbc3616e5",
+    "search --n 4 --p 2 --s-max 5":
+        "9c16b0f7209347c3c9a3f005b5f1b2ee16d2c4902d4525a8adacb43074797909",
     "code --q 9 --n 2 --gen 3,0 --gen 0,3 --p inf --s 1 --transfer":
         "4f77d5e5828bc497b16dce54f75ce95bc933ed75f7944ce299726e9f8d41a410",
 }
@@ -241,6 +249,7 @@ def test_negative_budget_is_a_usage_error(argv):
      "argument --gen: expected comma-separated integers: '1,x'"),
     (["verify", "--basis", "1,x;0,5", "--p", "2", "--s", "1"],
      "argument --basis: expected comma-separated integers: '1,x'"),
+    (["search", "--n", "2", "--p", "2", "--s-max", "-1"], "argument --s-max: s-max must be >= 0"),
 ])
 def test_malformed_option_value_is_a_usage_error(argv, message):
     proc = run(*argv)
@@ -322,9 +331,15 @@ def test_distance_table_over_the_guard_exits_1_quickly(argv):
     ["search", "--n", "2", "--p", "2", "--s-max", "-5"],
 ])
 def test_negative_limit_exits_1_for_every_p(argv, capsys):
-    assert cli.main(argv) == 1
+    # distances refuses its limit when it runs; search refuses --s-max while
+    # parsing, as a usage error that names the option
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
-    assert "limit must be >= 0" in err and out == ""
+    name = "s-max" if argv[0] == "search" else "limit"
+    assert code == 1 and f"{name} must be >= 0" in err and out == ""
 
 
 def test_search_up_to_s_0_is_an_empty_sweep(capsys):

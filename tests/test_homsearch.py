@@ -578,19 +578,25 @@ def test_exhausted_walks_rule_out_every_index_m_lattice(n, p, s_max):
     assert exhausted
 
 
-@pytest.mark.parametrize("rows", [[(3,), (0, 3)], [(4,), (2, 2)], [(6,), (3, 3)], [(5,), (3, 2)]])
+@pytest.mark.parametrize("rows", [
+    [(3,), (0, 3)], [(4,), (2, 2)], [(6,), (3, 3)], [(5,), (3, 2)],
+    [(7,), (3, 1)],  # a cyclic prefix: one run of length 7
+    [(1,), (0, 6)],  # d_0 = 1: runs of length one
+    [(6,)],
+    [(4,), (1, 2), (3, 0, 2)], [(2,), (1, 3), (0, 2, 2)], [(6,), (4, 1), (1, 0, 2)],
+    [(9,), (2, 1), (5, 0, 1)],
+])
 def test_quotient_scan_matches_reduction(rows):
-    # prefixes in a box with assorted tops, as level 2 of some B - B in Z^3
-    diffs = [(a, b, t) for a in range(-4, 5) for b in range(-4, 5)
-             for t in range(1, 1 + (a * a + 3 * b * b + 2 * a) % 5)]
-    tops = {}
-    for a, b, t in diffs:
-        tops[a, b] = max(tops.get((a, b), 0), t)
-    level = homsearch._slices(tops, 3)[2]  # tops as the fibres of B - B over (a, b)
-    radix = [rows[0][0], rows[1][1]]
-    quotient = homsearch._Quotient(rows, radix, level, 1)
-    assert quotient.order == radix[0] * radix[1]
+    # prefixes in a box with sparse assorted tops, as level j of some B - B
+    # in Z^(j+1), so that some residues pass and some fail only at y >= 2
+    j, rng = len(rows), random.Random(str(rows))
+    box = itertools.product(range(-2, 3), repeat=j)
+    tops = {u: t for u in box if (t := rng.choice((0,) * 6 ** (j - 1) + (1, 2, 4, 7)))}
+    level = homsearch._slices(tops, j + 1)[j]  # tops as the fibres of B - B over u
+    radix = [row[i] for i, row in enumerate(rows)]
+    order = math.prod(radix)
     residues = list(reference_residues(rows))  # descending index order
+    sizes = []
     for d in (1, 2, 3):
         ymax = max(tops.values()) // d
 
@@ -600,12 +606,17 @@ def test_quotient_scan_matches_reduction(rows):
                 for u, top in tops.items() for y in range(1, top // d + 1)
             )
 
-        expected = [quotient.order - 1 - i for i, h in enumerate(residues) if passes(h)]
-        got, hi = [], quotient.order - 1
-        while (hit := quotient.scan(hi, 0, d, ymax)) >= 0:
-            got.append(hit)
-            hi = hit - 1
-        assert got == expected, d
+        passing = {order - 1 - i for i, h in enumerate(residues) if passes(h)}
+        sizes.append(len(passing))
+        for least in {1, d}:  # tops below the least diagonal are left out
+            quotient = homsearch._Quotient(rows, radix, level, least)
+            assert len(quotient.reach) == order
+            # every window [lo, hi], as the budget cut in descend makes them
+            for hi in range(order):
+                for lo in range(hi + 1):
+                    expected = max((i for i in passing if lo <= i <= hi), default=-1)
+                    assert quotient.scan(hi, lo, d, ymax) == expected, (d, least, hi, lo)
+    assert any(0 < size < order for size in sizes), sizes
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, INF])
@@ -751,6 +762,17 @@ def test_classify_reaps_the_children_when_a_kernel_fails_verification(monkeypatc
     # reaped by the time the error arrives, not when its traceback is dropped
     assert_no_child_left()
     assert caught.tb is not None
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_classify_refuses_fewer_than_one_process(monkeypatch, jobs):
+    def never(n, token, budget):
+        raise AssertionError(f"searched s={token.power_value}")
+
+    monkeypatch.setattr(homsearch, "search_homomorphisms", never)
+    with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
+        classify(2, 2, 10, jobs=jobs)
+    assert_no_child_left()
 
 
 def test_classify_raises_the_least_failing_tokens_error(monkeypatch):

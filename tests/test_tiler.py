@@ -88,6 +88,12 @@ def test_criteria_fractional_exponent():
 
 # ----------------------------------------------------- bounded regions
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_tile_region_refuses_fewer_than_one_process(jobs):
+    with pytest.raises(ValueError, match=rf"^jobs must be >= 1, got {jobs}$"):
+        tile_region(BALL_R2, 2, jobs=jobs)
+
+
 def test_radius2_disk_tiles_square_region():
     result = tile_region(BALL_R2, 10)
     assert result.status == "completed"
