@@ -1,18 +1,19 @@
 """Command-line interface: exact computations in, JSON artifacts out.
 
 Each subcommand only computes and returns its artifact: a dict, a list
-of JSON-line records (search), or text (bounds --csv, render).  main
-owns the rest, once for all of them: it embeds the manifest (subcommand,
-parameters, library version) in a dict or as the first JSON line, writes
+of records (search), or text (bounds --csv, render).  main owns the
+rest, once for all of them: it embeds the manifest (subcommand,
+parameters, library version) in a dict or as the first record, writes
 the artifact to --out or stdout, byte-identical across reruns with the
-same manifest, and sends wall time to stderr only.  Exit codes: 0
-success, 1 usage or computation error, 2 when the artifact or one of its
-records is inconclusive.
+same manifest, and sends wall time to stderr only.  Every JSON artifact
+is compact key-sorted JSON, one line per record, a dict being one line;
+`python -m json.tool --json-lines FILE` pretty-prints one.  Exit codes:
+0 success, 1 usage or computation error, 2 when the artifact or one of
+its records is inconclusive.
 """
 
 import argparse
 import contextlib
-import itertools
 import json
 import os
 import sys
@@ -75,59 +76,19 @@ def _manifest(args, skip=("func", "jobs", "out", "subcommand")):
     return {"subcommand": args.subcommand, "parameters": params, "version": __version__}
 
 
-def _pieces(obj, pad=""):
-    """The text of json.dumps(obj, sort_keys=True, indent=2), in pieces.
-
-    json's C encoder takes no indent, so lists of ints and lists of
-    equal-length int rows (points, the bulk of a large artifact) are
-    formatted here, a block of rows per %-format, and json writes the rest.
-    """
-    inner = pad + "  "
-    if isinstance(obj, dict) and obj:
-        sep = "{"
-        for key in sorted(obj):
-            yield f"{sep}\n{inner}{json.dumps(key)}: "
-            yield from _pieces(obj[key], inner)
-            sep = ","
-        yield f"\n{pad}}}"
-    elif not isinstance(obj, (list, tuple)) or not obj:
-        yield json.dumps(obj)
-    elif set(map(type, obj)) == {int}:
-        yield f"[\n{inner}" + f",\n{inner}".join(map(str, obj)) + f"\n{pad}]"
-    elif (set(map(type, obj)) <= {list, tuple} and len(set(map(len, obj))) == 1
-          and set(map(type, itertools.chain.from_iterable(obj))) == {int}):
-        row = f"[\n{inner}  " + f",\n{inner}  ".join(["%d"] * len(obj[0])) + f"\n{inner}]"
-        step = 2**16 // len(obj[0]) + 1  # rows per block: about 2^16 ints
-        for i in range(0, len(obj), step):
-            block = obj[i:i + step]
-            yield (f",\n{inner}" if i else f"[\n{inner}") + f",\n{inner}".join(
-                [row] * len(block)) % tuple(itertools.chain.from_iterable(block))
-        yield f"\n{pad}]"
-    else:
-        sep = "["
-        for item in obj:
-            yield f"{sep}\n{inner}"
-            yield from _pieces(item, inner)
-            sep = ","
-        yield f"\n{pad}]"
-
-
 def _emit(artifact, out):
     """Write an artifact to the file out, else to the current sys.stdout.
 
-    A dict is written as json.dumps(sort_keys=True, indent=2) writes it,
-    a list as one compact JSON line per record, text as it is.
+    Text is written as it is.  Every other artifact is compact key-sorted
+    JSON, one line per record: a list holds the records, a dict is one.
     """
-    # streamed: a large artifact is never held as one string
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
         if isinstance(artifact, str):
             fh.write(artifact)
-        elif isinstance(artifact, list):
-            fh.writelines(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-                          for record in artifact)
         else:
-            fh.writelines(_pieces(artifact))
-            fh.write("\n")
+            records = artifact if isinstance(artifact, list) else [artifact]
+            fh.writelines(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+                          for record in records)
 
 
 def cmd_ball(args):

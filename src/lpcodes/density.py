@@ -146,12 +146,20 @@ def induced_density_lower_bound(n, token):
     return superball_volume(n, p) * (r - half_diag) ** n / mu
 
 
+def _check_dimension_and_exponent(n, p):
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    if p < 1:  # a fractional exponent >= 1 is allowed
+        raise ValueError("exponent must be >= 1")
+
+
 def density_radius_bound(n, p, delta):
     """Largest radius compatible with packing density delta.
 
     Closed form n^(1/p)/2 * (1 + delta^(1/n)) / (1 - delta^(1/n));
     perfect codes of larger radius would beat the best known packing.
     """
+    _check_dimension_and_exponent(n, p)
     if not 0 < delta < 1:
         raise ValueError("density must lie strictly between 0 and 1")
     root = delta ** (1.0 / n)
@@ -206,6 +214,7 @@ def high_dimension_density_bound(n, p):
     The bound is nontrivial only once n/p + 1 < 2^(n/p); until then it
     reports >= 1 and there is no radius consequence.
     """
+    _check_dimension_and_exponent(n, p)
     exponent = n / p
     value = (exponent + 1.0) * 2.0 ** (-exponent)
     nontrivial = value < 1.0

@@ -94,6 +94,8 @@ def excludes_space_tiling(n, r, p):
         raise ValueError("use excludes_plane_tiling for n = 2")
     if r < 1 or int(r) != r:
         raise ValueError("radius must be a positive integer")
+    if not p > 1:
+        raise ValueError("exponent must exceed 1")
     r = int(r)
     return p != INF and r > 2 and (n - 1) * (r - 1) ** p + (r - 2) ** p <= r**p
 

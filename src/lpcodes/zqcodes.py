@@ -29,17 +29,26 @@ __all__ = [
 ]
 
 
+def _check_int(name, value):
+    if type(value) is not int:  # the lift's Hermite form would truncate a float
+        raise ValueError(f"{name} must be an integer: {value!r}")
+
+
 class LinearCodeZq(namedtuple("LinearCodeZq", "q n generators")):
     """Additive code in Z_q^n given by generator rows (residue vectors)."""
 
     __slots__ = ()
 
     def __new__(cls, q, n, generators):
+        _check_int("modulus", q)
+        _check_int("dimension", n)
         if q < 2:
             raise ValueError("modulus must be >= 2")
         if n < 1:
             raise ValueError("dimension must be >= 1")
         for g in generators:
+            for c in g:
+                _check_int("generator entry", c)
             if len(g) != n or any(not (0 <= c < q) for c in g):
                 raise ValueError(f"generator out of range for Z_{q}^{n}: {g!r}")
         return super().__new__(cls, q, n, generators)
@@ -247,6 +256,8 @@ def linfty_existence(q, n):
     Among admissible factorizations q = b*m the smallest odd prime
     divisor is chosen for b, deterministically.
     """
+    _check_int("modulus", q)
+    _check_int("dimension", n)
     if q < 2 or n < 1:
         raise ValueError("need q >= 2, n >= 1")
     odd_primes = [f for f in intmath.factorize(q) if f % 2 == 1]

@@ -46,16 +46,17 @@ def test_ball_sup_metric():
     assert len(obj["points"]) == 9
 
 
-# SHA-256 of the ball --diff artifact without its manifest, fixed before
-# B - B was kept as fibres: (n, p, s) -> digest
+# SHA-256 of the ball --diff artifact without its manifest, its content
+# fixed before B - B was kept as fibres: (n, p, s) -> digest of the one
+# compact line
 DIFF_SHA256 = {
-    (2, 2, 5): "ed0ceecac7825284988bfc0d99514d525ab27424a0d5f635d1f3aa75adf44e08",
-    (3, 1, 2): "ce701868c227ddd91cc6bef944c4307735879111f02093f771df5cccc15afef5",
-    (2, "inf", 1): "2d2640fafe3cd6c6e77187769324070a8d6570901ddfdde0a2228e8e1f1af77d",
-    (3, 3, 10): "53c56dc5aa71b0dac17880d4b3d04c6cdf24a3f1d37a5bbd28f79a9a2c83c031",
-    (1, 2, 4): "2fefc651c2ac44c3733409847069cb57a03ef5b0b852cbf81c350864907da573",
-    (4, 2, 3): "1aa92bba75607ec54758a595b18dbfd97cc20887486e216ced878c296f5eb75c",
-    (2, 2, 90): "09299e85f5f0cd3986ae52738374cc7d1c53087ea97f7aaaef70dff9283d819d",
+    (2, 2, 5): "26f6102fc25b018cadb428c268ab6c988461412808c06941c074484a284cb8b0",
+    (3, 1, 2): "751537734e9573bdcc97a1319772a6510553b1fb2da1ce9dab5f379c55ffec5c",
+    (2, "inf", 1): "96c8b3ea2b274a4cfa0f27dd50bc39fb8ccd7287ced1dee5e509b24866f77d05",
+    (3, 3, 10): "ebd3142757d611b9f09fa7c887d3b9cea4832e8d3122197e6a7d21b370aad258",
+    (1, 2, 4): "881285fa2cf677940c45f0509d8e3657010dde68b5e4d8c9bc97f300dbbd4aab",
+    (4, 2, 3): "6905f952cebd723e2f6a155cd049e66d685b2739beec97f5c8212f9bfaed10d4",
+    (2, 2, 90): "44fd2e76819a7f520c8ddd65244b86ea0188f7ed7b15282ce03c71f8f7828a68",
 }
 
 
@@ -79,32 +80,32 @@ def test_ball_diff_artifact_is_byte_identical(tmp_path, monkeypatch, n, p, s):
     assert artifact_sha256(tmp_path, monkeypatch, argv) == DIFF_SHA256[n, p, s]
 
 
-# SHA-256 of artifacts without their manifest, fixed while each subcommand
-# still attached its own manifest, wrote its own output and chose its exit
-# code: argv -> digest, every run exit 0
+# SHA-256 of artifacts without their manifest, their content fixed while
+# each subcommand still attached its own manifest, wrote its own output and
+# chose its exit code: argv -> digest of the compact lines, every run exit 0
 ARTIFACT_SHA256 = {
-    "ball --n 2 --p 2 --s 25": "264f8281ed0e3a77efbaa46c64338bc6caf3a94d0f3d5731804a71ec59fa9e16",
-    "ball --n 3 --p 1 --s 3": "400ce776db99ee471e4d2cbd97dae8cd4d21c29ad3563babc5ace57d61ba2356",
+    "ball --n 2 --p 2 --s 25": "ac4626c9f611410e1790d9a9226bdfb51002f7c225aff09d3d3695b09460f782",
+    "ball --n 3 --p 1 --s 3": "805a142d328c6e31875ef8dfbe6464aa99b6c95f87001d05679b1fa2c405e534",
     "distances --p 2 --n 3 --limit 100":
-        "6582507320139ee6e5d732025a0f9f4097c983e7dd96b9ae7b57e3e624b8038f",
+        "238210e5e913339867ffc6ca238f4cafef3ac61989e0ce21055b79e354f3f74e",
     "distances --p 2 --n 2 --limit 50 --q 13":
-        "b681bc5152c15118fcf61074504ad5e689339fb53d6c68d5fbf28a7655165c0a",
+        "868c51278eb71d09dee077d9351005073da19d6db8ab6c823cdb8990b60c9de7",
     "verify --basis 1,5;3,2 --p 2 --s 4":  # PERFECT
-        "03592067a828163085b4b8a375dee4722762f8caffad85db0db90bf6f2d2969a",
+        "86103b814e5827368a274cc83dc67746da02fad5ffdc8dcf3e6505d53922b4d5",
     "verify --basis 1,1;0,5 --p 2 --s 1":  # NOT_PERFECT
-        "f9971a4ef8802519e00250b661d57c659c97908545863283ec484f84abb58b3e",
+        "055fea4eb964a26008c68121d12a6d75cca1c008e804afd9c5a698e2ea44a9f1",
     "code --q 13 --n 2 --gen 1,5 --p 2 --s 4 --transfer":
-        "e4b889656fc8fb358c5c5760eedc354dfd1ad068a94ea9718d48e2d248ea76e7",
+        "d344d47245680dcddfa8c1ad5b3c666637124dbec5d0f6b9a75bac8e6d43f731",
     "bounds --table1 --csv": "84bc114284b85e692e3d30fd9a7c84708205c9e4d4aedbc276033e5f261f734c",
     # the benchmark's l_2 plane sweep, the digest tests/test_homsearch.py pins
     "search --n 2 --p 2 --s-max 90":
         "6add2caf25510afd48f8a662b0ebd44d60880b30660a7b035b64c4ed6dc396eb",
     # the sup metric, fixed while its balls still had their own code path
-    "ball --n 3 --p inf --s 2": "6ab666913647b102f542cf09049f3e4a44de9a8372b9814a92da8ac9b7bceebd",
+    "ball --n 3 --p inf --s 2": "7dd7553fe0c35054fc51ac769be16a592208b1e17668c1d6942cebed1a03c43f",
     "verify --basis 3,0;0,3 --p inf --s 1":  # PERFECT
-        "84ed7b962d8fa031f1636ac5c91bdab98d9e8d161382d533326335d04e028960",
+        "7bb2bd58fa57da6f0b412ece3f19678d2b125aa8e83b10e21aee3e4b400ab3b8",
     "verify --basis 9,0;1,1 --p inf --s 1":  # NOT_PERFECT: overlap, witness (-2, -2)
-        "eabd3f3ac1295786f95da9e1ae749f29fb63d10ba1c66b32f9e37517f0b96892",
+        "9ee8ab55bed6796f5151b36571bb2627d5731c81b00ab5d7545c7ce9f591ef60",
     "search --n 2 --p inf --s-max 8":
         "07269f1e443d146a71b6353f7bffd588079a5f2c19566762feaa463438394b3f",
     # walks through nodes of two and three rows, fixed while each node still
@@ -116,7 +117,7 @@ ARTIFACT_SHA256 = {
     "search --n 4 --p 2 --s-max 5":
         "9c16b0f7209347c3c9a3f005b5f1b2ee16d2c4902d4525a8adacb43074797909",
     "code --q 9 --n 2 --gen 3,0 --gen 0,3 --p inf --s 1 --transfer":
-        "4f77d5e5828bc497b16dce54f75ce95bc933ed75f7944ce299726e9f8d41a410",
+        "74d58b36a50d9cff77b09be3ff4da519276569ebe3f93a051f453a048152d35c",
 }
 
 
@@ -182,8 +183,8 @@ def test_ball_of_radius_1_in_dimension_3000(tmp_path, p):
     out = tmp_path / "ball.json"
     proc = run("ball", "--n", "3000", "--p", p, "--s", "1", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    with open(out) as fh:  # each point opens one list at indent 4
-        assert sum(line == "    [\n" for line in fh) == 6001
+    with open(out) as fh:
+        assert len(json.load(fh)["points"]) == 6001
 
 
 def test_ball_over_the_size_guard_in_dimension_3000_exits_1():
@@ -608,13 +609,14 @@ def test_tile_region_budget_exit_2():
 
 
 # SHA-256 of the four tile-region artifacts of the benchmark without their
-# manifest, fixed before the tiler read its tiles off the final board:
-# (n, r, extent, budget) -> digest, all at p = 2
+# manifest, their content fixed before the tiler read its tiles off the
+# final board: (n, r, extent, budget) -> digest of the one compact line,
+# all at p = 2
 TILE_SHA256 = {
-    (2, 2, 13, 10**6): "f227b190da9059423f3c717811059a3801af67f921fef4752b9d7831b9d746da",
-    (2, 3, 16, 10**6): "93e32a22a66c8396403e83f52deb8977449b4a536d19cffef0b004519715a84d",
-    (2, 4, 16, 10**6): "f678c53c6be66dc128307364af4c4925adf97917951c956c5670894301f2d0ed",
-    (3, 1, 3, 10**5): "09fa33b15f264ec902743c2500665c7060d65e648a84c9a39d7f7764a202dc11",
+    (2, 2, 13, 10**6): "2ea15589c88dae7961518f3b6c10eb34b11e3272fc0de17465683bcc9dea1899",
+    (2, 3, 16, 10**6): "bedafaaa3322f8838b80356c1483fa82bd847ffb1868049fbc3a68e768a5d0f3",
+    (2, 4, 16, 10**6): "05f7a3f1eb9f08500912b65e21ccb245ca12eed1dc996b720608148f4a385f82",
+    (3, 1, 3, 10**5): "3a0c1ce5787194c2c11f0ef6882dc0021b5ee9ccea7cc88799c8e9d9c717bcd4",
 }
 
 
@@ -745,8 +747,8 @@ def test_a_library_bug_is_not_reported_as_a_refusal(monkeypatch):
 def test_artifacts_are_written_as_json_dumps_writes_them(tmp_path, monkeypatch, argv):
     emit, payloads = cli._emit, []
 
-    def recording_emit(obj, out):
-        payloads.append(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    def recording_emit(obj, out):  # a dict artifact is one compact line
+        payloads.append(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
         emit(obj, out)
 
     monkeypatch.setattr(cli, "_emit", recording_emit)
@@ -759,9 +761,12 @@ def test_emit_formats_every_json_value_as_json_dumps_does(tmp_path):
     obj = {"a": [], "b": {}, "c": [[1, 2], [], [3]], "d": None, "e": 1.5, "f": True,
            "g": [True, 1], "h": "x\u00e9", "i": (1, -2), "j": [{"k": [[1], [2]]}],
            "l": [[1, True], [2, 3]], "m": [(4, 5), [6, 7]], "n": [[0.5, 1]], "o": [[None]],
-           "p": [[10**30, -1]] * 70000}
+           "p": [[10**30, -1]] * 3}
+    compact = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
     cli._emit(obj, tmp_path / "obj.json")
-    assert (tmp_path / "obj.json").read_text() == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "obj.json").read_text() == compact
+    cli._emit([obj, {"z": 0, "y": [None]}], tmp_path / "lines.json")
+    assert (tmp_path / "lines.json").read_text() == compact + '{"y":[null],"z":0}\n'
 
 
 # ------------------------------------------------------------ exit codes

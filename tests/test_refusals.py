@@ -4,7 +4,12 @@ import re
 
 import pytest
 
-from lpcodes.density import _eval_expr, induced_density_lower_bound
+from lpcodes.density import (
+    _eval_expr,
+    density_radius_bound,
+    high_dimension_density_bound,
+    induced_density_lower_bound,
+)
 from lpcodes.distance_sets import is_achievable, is_sum_of_three_squares, is_sum_of_two_squares
 from lpcodes.geometry import (
     INF,
@@ -57,6 +62,10 @@ def ball():
                  id="excludes_plane_tiling-p"),
     pytest.param(lambda: excludes_space_tiling(3, 0, 2), "radius must be a positive integer",
                  id="excludes_space_tiling-radius"),
+    pytest.param(lambda: excludes_space_tiling(3, 5, 1), "exponent must exceed 1",
+                 id="excludes_space_tiling-p"),
+    pytest.param(lambda: excludes_space_tiling(3, 5, -1), "exponent must exceed 1",
+                 id="excludes_space_tiling-p-negative"),
     pytest.param(lambda: classify_point(ball(), (0, 0, 0)), "dimension mismatch",
                  id="classify_point-dimension"),
     pytest.param(lambda: plee_distance((0, 0), (1,), 5, 1), "dimension mismatch",
@@ -68,6 +77,18 @@ def ball():
     pytest.param(lambda: ball().contains((0.5, 0)),
                  "lattice point must have integer coordinates: (0.5, 0)", id="contains-non-integer"),
     pytest.param(lambda: linfty_existence(1, 2), "need q >= 2, n >= 1", id="linfty_existence-q"),
+    pytest.param(lambda: linfty_existence(9.0, 2), "modulus must be an integer: 9.0",
+                 id="linfty_existence-q-float"),
+    pytest.param(lambda: LinearCodeZq(5.5, 2, ((1, 2),)), "modulus must be an integer: 5.5",
+                 id="LinearCodeZq-q-float"),
+    pytest.param(lambda: LinearCodeZq(True, 2, ()), "modulus must be an integer: True",
+                 id="LinearCodeZq-q-bool"),
+    pytest.param(lambda: LinearCodeZq(5, 2.0, ()), "dimension must be an integer: 2.0",
+                 id="LinearCodeZq-n-float"),
+    pytest.param(lambda: LinearCodeZq(5, 2, ((1.5, 2),)), "generator entry must be an integer: 1.5",
+                 id="LinearCodeZq-entry-float"),
+    pytest.param(lambda: LinearCodeZq(5, 2, ((2, True),)), "generator entry must be an integer: True",
+                 id="LinearCodeZq-entry-bool"),
     pytest.param(lambda: code_minimum_distance(ZERO_CODE, 1),
                  "minimum distance needs at least two codewords", id="code_minimum_distance-words"),
     pytest.param(lambda: code_packing_radius(ZERO_CODE, 1),
@@ -82,6 +103,16 @@ def ball():
                  id="compare_root_sums-radicand"),
     pytest.param(lambda: superball_volume(0, 2), "dimension must be >= 1", id="superball_volume-n"),
     pytest.param(lambda: superball_volume(2, 0), "exponent must be >= 1", id="superball_volume-p"),
+    pytest.param(lambda: density_radius_bound(0, 2, 0.5), "dimension must be >= 1",
+                 id="density_radius_bound-n"),
+    pytest.param(lambda: density_radius_bound(2, 0, 0.5), "exponent must be >= 1",
+                 id="density_radius_bound-p"),
+    pytest.param(lambda: high_dimension_density_bound(0, 3), "dimension must be >= 1",
+                 id="high_dimension_density_bound-n"),
+    pytest.param(lambda: high_dimension_density_bound(30, 0), "exponent must be >= 1",
+                 id="high_dimension_density_bound-p"),
+    pytest.param(lambda: high_dimension_density_bound(30, -2), "exponent must be >= 1",
+                 id="high_dimension_density_bound-p-negative"),
     pytest.param(lambda: induced_density_lower_bound(2, RadiusToken(INF, 1)),
                  "density machinery applies to finite p", id="induced_density_lower_bound-inf"),
     pytest.param(lambda: code_is_perfect(LinearCodeZq(13, 2, ((1, 5),)), RadiusToken(2, 3)),
@@ -103,6 +134,8 @@ def test_invalid_input_is_refused_with_its_reason(call, message):
     pytest.param(lambda: is_sum_of_two_squares(-1), False, id="is_sum_of_two_squares-negative"),
     pytest.param(lambda: is_sum_of_three_squares(-1), False, id="is_sum_of_three_squares-negative"),
     pytest.param(lambda: superball_volume(3, INF), 8.0, id="superball_volume-inf"),
+    pytest.param(lambda: density_radius_bound(1, 1.5, 0.5), 1.5,
+                 id="density_radius_bound-fractional-p"),
     pytest.param(lambda: _eval_expr("2^-1"), 0.5, id="eval_expr-unary-minus"),
 ])
 def test_edge_input_is_answered_not_refused(call, value):
